@@ -50,10 +50,13 @@ def detect_format(text: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not ASCII: {exc}") from None
 
 
 def _load_graph(args) -> Graph:
@@ -81,12 +84,25 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
 
 
 def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
+    """Certificate from its JSON form; ParseError when a key or a label is missing."""
     ids = {label: v for v, label in enumerate(graph.labels)}
-    if payload["status"] == "lrw_le_1":
-        return OrderingCertificate(tuple(ids[l] for l in payload["ordering"]))
-    obstruction = payload["obstruction"]
-    vertices = tuple(sorted(ids[l] for l in obstruction["vertices"]))
-    family = obstruction["family"]
+    try:
+        ordered = payload["status"] == "lrw_le_1"
+        if ordered:
+            labels = payload["ordering"]
+        else:
+            obstruction = payload["obstruction"]
+            labels = obstruction["vertices"]
+            family = obstruction["family"]
+    except KeyError as exc:
+        raise ParseError(f"certificate lacks the key {exc}") from None
+    try:
+        vs = [ids[l] for l in labels]
+    except KeyError as exc:
+        raise ParseError(f"certificate names {exc}, which is not a vertex label") from None
+    if ordered:
+        return OrderingCertificate(tuple(vs))
+    vertices = tuple(sorted(vs))
     return ObstructionCertificate(
         vertices,
         family,

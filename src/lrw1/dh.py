@@ -3,11 +3,22 @@
 A connected graph reduces to a single vertex by repeatedly deleting a pendant
 vertex or one of a twin pair exactly when it is distance hereditary, and the
 recorded elimination doubles as a replayable certificate.
+
+`pruning_sequence` always deletes the smallest removable vertex id, as a
+pendant when it has degree 1, else as the twin of its smallest partner, so
+the sequence depends on the graph alone.  It keeps its neighbourhood keys and
+twin buckets from one step to the next and costs O((n + m) log n);
+`oracle.reference_pruning_sequence` rescans the whole graph at every step, in
+O(n(n + m)), and the tests require the two to agree step for step.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import reduce
+from heapq import heappop, heappush
+from operator import xor
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
 from .graph import Graph, connected_components, induced_subgraph
@@ -26,24 +37,9 @@ class PruningSequence:
     last: int
 
 
-def _next_elimination(adj: dict[int, set[int]]) -> PruningStep | None:
-    """First removable vertex in ascending id order, smallest partner first."""
-    open_buckets: dict[frozenset[int], list[int]] = {}
-    closed_buckets: dict[frozenset[int], list[int]] = {}
-    for u in adj:
-        open_buckets.setdefault(frozenset(adj[u]), []).append(u)
-        closed_buckets.setdefault(frozenset(adj[u] | {u}), []).append(u)
-    for u in sorted(adj):
-        nb = adj[u]
-        if len(nb) == 1:
-            return PruningStep(u, "pendant", next(iter(nb)))
-        true_partner = min((v for v in closed_buckets[frozenset(nb | {u})] if v != u), default=None)
-        false_partner = min((v for v in open_buckets[frozenset(nb)] if v != u), default=None)
-        if true_partner is not None and (false_partner is None or true_partner < false_partner):
-            return PruningStep(u, "true_twin", true_partner)
-        if false_partner is not None:
-            return PruningStep(u, "false_twin", false_partner)
-    return None
+# Seeds the per-vertex codes behind the neighbourhood keys; fixed so that a
+# run is reproducible, though the output never depends on the codes.
+_KEY_SEED = 20010101
 
 
 def pruning_sequence(graph: Graph) -> PruningSequence | None:
@@ -53,23 +49,130 @@ def pruning_sequence(graph: Graph) -> PruningSequence | None:
     induced subgraphs of distance-hereditary graphs always keep a pendant or
     twin, and conversely growing back the sequence only ever uses the three
     safe extension moves.
+
+    A twin is deleted towards the smaller of its smallest true-twin and
+    smallest false-twin partner.  Every vertex carries a 64-bit key, the XOR
+    of fixed random codes over its open neighbourhood (its closed key adds
+    its own code), and vertices with equal keys share a bucket.  Deleting x
+    updates the keys of x's neighbours in O(1) each and puts them on a
+    min-heap of candidates, which are checked when popped.  Equal keys are
+    only a hint: each twin claim compares the real neighbourhoods, and a
+    bucket found to hold unequal neighbourhoods requeues all its members
+    whenever a vertex joins it.  The cost is O((n + m) log n) as long as no
+    two distinct neighbourhoods share a key.
     """
     if graph.n == 0:
         raise Disconnected("empty graph has no pruning sequence")
     if len(connected_components(graph)) != 1:
         raise Disconnected("pruning sequences are defined for connected graphs")
-    adj = {v: set(graph.adj[v]) for v in range(graph.n)}
-    steps = []
-    while len(adj) > 1:
-        step = _next_elimination(adj)
-        if step is None:
+    n = graph.n
+    rng = random.Random(_KEY_SEED)
+    code = [rng.getrandbits(64) for _ in range(n)]
+    adj = [set(nb) for nb in graph.adj]
+    okey = [reduce(xor, [code[w] for w in nb], 0) for nb in adj]
+    alive = [True] * n
+    # index 0: buckets by open key (false twins); index 1: by closed key (true twins).
+    # A bucket is a heap of vertex ids whose stale entries are dropped when they surface.
+    buckets: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+    sizes: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    impure: tuple[set[int], set[int]] = (set(), set())
+    for v in range(n):
+        buckets[0].setdefault(okey[v], []).append(v)
+        buckets[1].setdefault(okey[v] ^ code[v], []).append(v)
+    for t in (0, 1):
+        sizes[t].update((k, len(b)) for k, b in buckets[t].items())
+    queue = list(range(n))
+    queued = [True] * n
+
+    def in_bucket(t: int, k: int, v: int) -> bool:
+        return alive[v] and (okey[v] ^ code[v] if t else okey[v]) == k
+
+    def top(t: int, k: int) -> int:
+        bucket = buckets[t][k]
+        while not in_bucket(t, k, bucket[0]):
+            heappop(bucket)
+        return bucket[0]
+
+    def push(v: int) -> None:
+        if not queued[v]:
+            queued[v] = True
+            heappush(queue, v)
+
+    def leave(t: int, k: int) -> None:
+        left = sizes[t][k] - 1
+        if left:
+            sizes[t][k] = left
+        else:
+            del sizes[t][k], buckets[t][k]
+
+    def join(t: int, k: int, v: int) -> None:
+        # v may be a new partner for a member whose key did not change.  A lone
+        # member is queued.  In a larger bucket, a member off the queue was last
+        # checked while sharing the bucket and found no partner there, which
+        # marked the bucket impure; only then are the members queued again.
+        size = sizes[t].get(k, 0)
+        if k in impure[t]:
+            for w in buckets[t].get(k, ()):
+                if in_bucket(t, k, w):
+                    push(w)
+        elif size == 1:
+            push(top(t, k))
+        sizes[t][k] = size + 1
+        heappush(buckets[t].setdefault(k, []), v)
+
+    def twins(t: int, u: int, v: int) -> bool:
+        if t:
+            return v in adj[u] and adj[u] ^ adj[v] == {u, v}
+        return adj[u] == adj[v]
+
+    def partner(t: int, u: int) -> int | None:
+        k = okey[u] ^ code[u] if t else okey[u]
+        if sizes[t][k] < 2:
             return None
-        for u in adj[step.removed]:
-            adj[u].discard(step.removed)
-        del adj[step.removed]
+        candidate = top(t, k)
+        if candidate == u:
+            heappop(buckets[t][k])
+            candidate = top(t, k)
+            heappush(buckets[t][k], u)
+        if candidate != u and twins(t, u, candidate):
+            return candidate
+        impure[t].add(k)
+        members = {w for w in buckets[t][k] if w != u and in_bucket(t, k, w)}
+        return next((w for w in sorted(members) if twins(t, u, w)), None)
+
+    steps = []
+    for _ in range(n - 1):
+        while True:
+            if not queue:
+                return None
+            u = heappop(queue)
+            queued[u] = False
+            if len(adj[u]) == 1:
+                step = PruningStep(u, "pendant", next(iter(adj[u])))
+                break
+            true_partner = partner(1, u)
+            false_partner = partner(0, u)
+            if true_partner is not None and (false_partner is None or true_partner < false_partner):
+                step = PruningStep(u, "true_twin", true_partner)
+                break
+            if false_partner is not None:
+                step = PruningStep(u, "false_twin", false_partner)
+                break
+        x = step.removed
+        alive[x] = False
+        leave(0, okey[x])
+        leave(1, okey[x] ^ code[x])
+        for u in adj[x]:
+            adj[u].discard(x)
+            old = okey[u]
+            okey[u] = new = old ^ code[x]
+            leave(0, old)
+            join(0, new, u)
+            leave(1, old ^ code[u])
+            join(1, new ^ code[u], u)
+            push(u)
         steps.append(step)
-    (last,) = adj
-    return PruningSequence(tuple(steps), last)
+    return PruningSequence(tuple(steps), alive.index(True))
 
 
 def replay_pruning(graph: Graph, seq: PruningSequence) -> None:

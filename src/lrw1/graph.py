@@ -330,28 +330,25 @@ def _parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(data) - idx != need:
         raise ParseError(f"graph6 body has {len(data) - idx} groups, expected {need}")
+    pad = need * 6 - nbits
+    if pad and data[-1] & ((1 << pad) - 1):
+        raise ParseError("nonzero padding bits in graph6 input")
+    # bit k of the body is entry (i, j) of the upper triangle, column by column
     edges = []
-    k = 0
+    i, j = 0, 1
     for d in data[idx:]:
+        if not d:
+            i += 6
+            while i >= j:
+                i, j = i - j, j + 1
+            continue
         for shift in range(5, -1, -1):
-            if k >= nbits:
-                if (d >> shift) & 1:
-                    raise ParseError("nonzero padding bits in graph6 input")
-                continue
             if (d >> shift) & 1:
-                j = _g6_col(k)
-                i = k - j * (j - 1) // 2
                 edges.append((i, j))
-            k += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, edges)
-
-
-def _g6_col(k: int) -> int:
-    # column j of upper-triangle bit k: largest j with j*(j-1)/2 <= k
-    j = 1
-    while (j + 1) * j // 2 <= k:
-        j += 1
-    return j
 
 
 def to_graph6(graph: Graph) -> str:

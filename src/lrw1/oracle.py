@@ -15,7 +15,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .dh import pruning_sequence
+from .dh import PruningSequence, PruningStep, pruning_sequence
 from .errors import CapExceeded, Disconnected, TooLarge
 from .gf2 import rank_of_rows
 from .graph import (
@@ -379,6 +379,50 @@ def is_dh_by_distances(graph: Graph) -> bool:
                 if du[w] != host[u][w]:
                     return False
     return True
+
+
+# -- reference pruning ------------------------------------------------------------------
+
+
+def _next_elimination(adj: dict[int, set[int]]) -> PruningStep | None:
+    """First removable vertex in ascending id order, smallest partner first."""
+    open_buckets: dict[frozenset[int], list[int]] = {}
+    closed_buckets: dict[frozenset[int], list[int]] = {}
+    for u in adj:
+        open_buckets.setdefault(frozenset(adj[u]), []).append(u)
+        closed_buckets.setdefault(frozenset(adj[u] | {u}), []).append(u)
+    for u in sorted(adj):
+        nb = adj[u]
+        if len(nb) == 1:
+            return PruningStep(u, "pendant", next(iter(nb)))
+        true_partner = min((v for v in closed_buckets[frozenset(nb | {u})] if v != u), default=None)
+        false_partner = min((v for v in open_buckets[frozenset(nb)] if v != u), default=None)
+        if true_partner is not None and (false_partner is None or true_partner < false_partner):
+            return PruningStep(u, "true_twin", true_partner)
+        if false_partner is not None:
+            return PruningStep(u, "false_twin", false_partner)
+    return None
+
+
+def reference_pruning_sequence(graph: Graph) -> PruningSequence | None:
+    """The greedy elimination of `dh.pruning_sequence`, rescanning every
+    neighbourhood at every step: O(n(n + m)), kept as the reference."""
+    if graph.n == 0:
+        raise Disconnected("empty graph has no pruning sequence")
+    if len(connected_components(graph)) != 1:
+        raise Disconnected("pruning sequences are defined for connected graphs")
+    adj = {v: set(graph.adj[v]) for v in range(graph.n)}
+    steps = []
+    while len(adj) > 1:
+        step = _next_elimination(adj)
+        if step is None:
+            return None
+        for u in adj[step.removed]:
+            adj[u].discard(step.removed)
+        del adj[step.removed]
+        steps.append(step)
+    (last,) = adj
+    return PruningSequence(tuple(steps), last)
 
 
 # -- corpus generators ---------------------------------------------------------------

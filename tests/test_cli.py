@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from lrw1 import cli
+from lrw1.errors import ParseError
 from lrw1.graph import parse_graph, serialize_graph
 from lrw1.named import caterpillar_graph, cycle_graph, house_graph, net_graph, path_graph
 from lrw1.recognizer import OrderingCertificate, verify_certificate
@@ -39,6 +42,13 @@ def test_recognize_missing_file_exit_2(capsys):
     assert cli.main(["recognize", "/nonexistent/graph.edges"]) == 2
 
 
+def test_recognize_non_ascii_exit_2(tmp_path, capsys):
+    path = tmp_path / "bytes.edges"
+    path.write_bytes(b"\xff\xfe 1\n")
+    assert cli.main(["recognize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not ASCII")
+
+
 def test_recognize_graph6_autodetect(tmp_path, capsys):
     path = _write(tmp_path, "g.g6", serialize_graph(cycle_graph(5), "graph6"))
     assert cli.main(["recognize", path]) == 1
@@ -57,6 +67,16 @@ def test_json_round_trip(tmp_path, capsys):
         cert = cli.certificate_from_json(g, payload)
         assert verify_certificate(g, cert)
         assert cli.certificate_to_json(g, cert) == payload
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({}, "'status'"),
+    ({"status": "lrw_le_1"}, "'ordering'"),
+    ({"status": "lrw_le_1", "ordering": [0, 1, 7]}, "7"),
+])
+def test_malformed_certificate_raises_parse_error(payload, named):
+    with pytest.raises(ParseError, match=named):
+        cli.certificate_from_json(path_graph(3), payload)
 
 
 def test_json_schema_fields(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Distance-hereditary recognition, pruning sequences, minimal obstructions."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrw1 import oracle
+from lrw1 import dh, oracle
 from lrw1.dh import (
     PruningStep,
     is_distance_hereditary,
@@ -75,6 +78,65 @@ def test_replay_rejects_tampered_sequence():
         replay_pruning(g, type(seq)(bad, seq.last))
     with pytest.raises(InvalidSequence):
         replay_pruning(g, type(seq)(seq.steps[:-1], seq.last))
+
+
+# -- the incremental pruning against the rescanning reference ------------------------
+
+
+def _assert_matches_reference(g):
+    assert pruning_sequence(g) == oracle.reference_pruning_sequence(g), g
+
+
+def _connected_fixtures(max_n):
+    for n in range(1, max_n + 1):
+        for g in oracle.load_fixture_graphs(n):
+            if n == 1 or len(connected_components(g)) == 1:
+                yield g
+
+
+def test_matches_reference_on_fixtures_up_to_7():
+    for g in _connected_fixtures(7):
+        _assert_matches_reference(g)
+
+
+def test_matches_reference_on_twin_classes():
+    bipartite = [
+        Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        for a in range(1, 9) for b in range(1, 9)
+    ]
+    for g in [complete_graph(n) for n in range(1, 31)] + bipartite + [octahedron_graph()]:
+        _assert_matches_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10**6))
+def test_matches_reference_on_random_dh_graphs(n, seed):
+    _assert_matches_reference(oracle.random_dh_graph(n, seed))
+    _assert_matches_reference(oracle.random_lrw1_graph(n, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.3, 0.95), st.integers(0, 10**6))
+def test_matches_reference_on_dense_random_graphs(n, density, seed):
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < density]
+    _assert_matches_reference(Graph(n, edges))
+
+
+@pytest.mark.parametrize("bits", [0, 2])
+def test_colliding_keys_leave_the_sequence_unchanged(monkeypatch, bits):
+    # codes of 0 or 2 bits make keys collide everywhere; equal keys are only a
+    # hint, so every twin claim must still hold on the real neighbourhoods
+    rng = random.Random(bits)
+    codes = SimpleNamespace(getrandbits=lambda _: rng.getrandbits(bits))
+    monkeypatch.setattr(dh, "random", SimpleNamespace(Random=lambda seed: codes))
+    for g in _connected_fixtures(6):
+        _assert_matches_reference(g)
+    for seed in range(60):
+        _assert_matches_reference(oracle.random_dh_graph(25, seed))
+        _assert_matches_reference(oracle.random_lrw1_graph(25, seed))
+    _assert_matches_reference(complete_graph(12))
 
 
 # -- the boolean test ---------------------------------------------------------------

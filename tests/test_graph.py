@@ -1,5 +1,7 @@
 """Graph construction, parsing, surgery and small-graph isomorphism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from lrw1.graph import (
     parse_graph,
     pivot,
     serialize_graph,
+    to_graph6,
 )
 from lrw1.named import (
     complete_graph,
@@ -80,6 +83,17 @@ def test_parse_graph6_garbage():
         parse_graph("D~", "graph6")
     with pytest.raises(ParseError):
         parse_graph("\x07!", "graph6")
+    with pytest.raises(ParseError, match="padding"):
+        parse_graph("A`", "graph6")
+
+
+def test_graph6_round_trip_beyond_62_vertices():
+    rng = random.Random(62)
+    for n in (63, 64, 130):
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1])
+        text = to_graph6(g)
+        assert text.startswith("~")
+        assert parse_graph(text, "graph6") == g
 
 
 @settings(max_examples=60)
