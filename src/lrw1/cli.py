@@ -84,22 +84,32 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
 
 
 def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
-    """Certificate from its JSON form; ParseError when a key or a label is missing."""
+    """Certificate from its JSON form; ParseError naming a missing key, a value
+    of the wrong JSON type, or a label that is not a vertex label."""
     ids = {label: v for v, label in enumerate(graph.labels)}
+    _require_type(payload, dict, "the certificate")
     try:
         ordered = payload["status"] == "lrw_le_1"
         if ordered:
             labels = payload["ordering"]
+            _require_type(labels, list, "'ordering'")
         else:
             obstruction = payload["obstruction"]
+            _require_type(obstruction, dict, "'obstruction'")
             labels = obstruction["vertices"]
+            _require_type(labels, list, "'vertices'")
             family = obstruction["family"]
+            catalog_index = obstruction.get("catalog_index")
+            if catalog_index is not None:
+                _require_type(catalog_index, int, "'catalog_index'")
     except KeyError as exc:
         raise ParseError(f"certificate lacks the key {exc}") from None
-    try:
-        vs = [ids[l] for l in labels]
-    except KeyError as exc:
-        raise ParseError(f"certificate names {exc}, which is not a vertex label") from None
+    vs = []
+    for label in labels:
+        try:
+            vs.append(ids[label])
+        except (KeyError, TypeError):  # TypeError: an unhashable label such as a list
+            raise ParseError(f"certificate names {label!r}, which is not a vertex label") from None
     if ordered:
         return OrderingCertificate(tuple(vs))
     vertices = tuple(sorted(vs))
@@ -107,8 +117,16 @@ def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
         vertices,
         family,
         hole_length=len(vertices) if family == "hole" else None,
-        catalog_index=obstruction.get("catalog_index"),
+        catalog_index=catalog_index,
     )
+
+
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
+
+
+def _require_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
 
 
 # -- subcommands --------------------------------------------------------------------

@@ -10,6 +10,12 @@ the sequence depends on the graph alone.  It keeps its neighbourhood keys and
 twin buckets from one step to the next and costs O((n + m) log n);
 `oracle.reference_pruning_sequence` rescans the whole graph at every step, in
 O(n(n + m)), and the tests require the two to agree step for step.
+
+`non_dh_obstruction` makes one ascending pass over the 2-core C and deletes
+each vertex whose removal leaves the rest non-DH: |C| + 1 DH tests, so
+O(n(n + m) log n).  `oracle.reference_non_dh_obstruction` restarts at the
+lowest id after every deletion and tries every vertex, up to about n^2 DH
+tests; the tests require the two to return the same vertex tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from heapq import heappop, heappush
 from operator import xor
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, connected_components, induced_subgraph, two_core
 
 
 @dataclass(frozen=True)
@@ -215,20 +221,28 @@ def is_distance_hereditary(graph: Graph) -> bool:
 def non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
 
-    Greedy deletion: drop any vertex (ascending id) whose removal keeps the
-    graph non-DH; the fixpoint is one of the classical minimal obstructions
-    (house, gem, domino, or a hole).
+    Greedy deletion in one ascending pass over the 2-core C of the graph,
+    what remains after repeatedly deleting vertices of degree at most 1: drop
+    each vertex whose removal keeps the kept set non-DH.  The result is one
+    of the classical minimal obstructions (house, gem, domino, or a hole).
+    It is the same tuple as restarting at the lowest id after every deletion
+    over all vertices (`oracle.reference_non_dh_obstruction`), for two
+    reasons:
+
+    - non-DH survives adding vertices, so a vertex whose deletion once left a
+      DH graph can never be deleted later, and a restart repeats only trials
+      that fail again;
+    - a graph is DH exactly when its 2-core is, and the 2-core of G[K] is the
+      2-core of G[K ∩ C], so every vertex outside C would be deleted and no
+      decision on a vertex of C depends on them.
+
+    That costs |C| + 1 DH tests, O(n(n + m) log n) in all.
     """
     if is_distance_hereditary(graph):
         raise AlreadyDH("graph is distance hereditary")
-    keep = list(range(graph.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in keep:
-            trial = [u for u in keep if u != v]
-            if not is_distance_hereditary(induced_subgraph(graph, trial)):
-                keep = trial
-                changed = True
-                break
+    keep = two_core(graph)
+    for v in list(keep):
+        trial = [u for u in keep if u != v]
+        if not is_distance_hereditary(induced_subgraph(graph, trial)):
+            keep = trial
     return tuple(keep)

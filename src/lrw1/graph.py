@@ -140,6 +140,20 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def two_core(graph: Graph) -> list[int]:
+    """Sorted vertices left after repeatedly deleting vertices of degree at most 1."""
+    degree = [len(nb) for nb in graph.adj]
+    peeled = [d <= 1 for d in degree]
+    stack = [v for v in range(graph.n) if peeled[v]]
+    while stack:
+        for u in graph.adj[stack.pop()]:
+            degree[u] -= 1
+            if degree[u] <= 1 and not peeled[u]:
+                peeled[u] = True
+                stack.append(u)
+    return [v for v in range(graph.n) if not peeled[v]]
+
+
 # -- isomorphism (small graphs only) ----------------------------------------
 
 _ISO_GUARD = 10

@@ -15,8 +15,8 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .dh import PruningSequence, PruningStep, pruning_sequence
-from .errors import CapExceeded, Disconnected, TooLarge
+from .dh import PruningSequence, PruningStep, is_distance_hereditary, pruning_sequence
+from .errors import AlreadyDH, CapExceeded, Disconnected, TooLarge
 from .gf2 import rank_of_rows
 from .graph import (
     Graph,
@@ -423,6 +423,25 @@ def reference_pruning_sequence(graph: Graph) -> PruningSequence | None:
         steps.append(step)
     (last,) = adj
     return PruningSequence(tuple(steps), last)
+
+
+def reference_non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
+    """The greedy deletion of `dh.non_dh_obstruction`, restarting at the lowest
+    id after every deletion and trying every vertex of the graph: up to n
+    passes of up to n trials each, kept as the reference."""
+    if is_distance_hereditary(graph):
+        raise AlreadyDH("graph is distance hereditary")
+    keep = list(range(graph.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in keep:
+            trial = [u for u in keep if u != v]
+            if not is_distance_hereditary(induced_subgraph(graph, trial)):
+                keep = trial
+                changed = True
+                break
+    return tuple(keep)
 
 
 # -- corpus generators ---------------------------------------------------------------

@@ -652,29 +652,39 @@ def decompositions_isomorphic(a: Decomposition, b: Decomposition) -> bool:
                 return False
         return True
 
-    def place(i: int) -> bool:
-        if i == len(ms_a):
-            return True
-        m = ms_a[i]
-        sig = marker_sig(a, sadj_a, m)
-        for t in ms_b:
-            if t in imap or sigs_b[t] != sig or not consistent(m, t):
+    # frames[i]: the index in ms_b of the target that ms_a[i] holds, and
+    # whether ms_a[i]'s block was mapped before it; a depth-first search in the
+    # order of ms_b, kept on this list so that long decompositions do not
+    # exhaust the interpreter's recursion limit
+    sigs_a = {m: marker_sig(a, sadj_a, m) for m in ms_a}
+    frames: list[tuple[int, bool]] = []
+    start = 0
+    while len(frames) < len(ms_a):
+        m = ms_a[len(frames)]
+        ha = a.home_of(m)
+        for j in range(start, len(ms_b)):
+            t = ms_b[j]
+            if t in imap or sigs_b[t] != sigs_a[m] or not consistent(m, t):
                 continue
-            ha = a.home_of(m)
             had_block = ha in bmap
             mmap[m] = t
             imap[t] = m
             if not had_block:
                 bmap[ha] = b.home_of(t)
-            if place(i + 1):
-                return True
-            del mmap[m]
-            del imap[t]
+            frames.append((j, had_block))
+            start = 0
+            break
+        else:
+            # no target left for m: withdraw the previous marker's and try its next
+            if not frames:
+                return False
+            start, had_block = frames.pop()
+            start += 1
+            m = ms_a[len(frames)]
+            del imap[mmap.pop(m)]
             if not had_block:
-                del bmap[ha]
-        return False
-
-    return place(0)
+                del bmap[a.home_of(m)]
+    return True
 
 
 def decomposition_to_dot(decomposition: Decomposition) -> str:

@@ -79,6 +79,21 @@ def test_malformed_certificate_raises_parse_error(payload, named):
         cli.certificate_from_json(path_graph(3), payload)
 
 
+@pytest.mark.parametrize("payload, named", [
+    ([], "the certificate must be a JSON object"),
+    ({"status": "lrw_le_1", "ordering": 5}, "'ordering' must be a JSON list"),
+    ({"status": "lrw_ge_2", "obstruction": [1]}, "'obstruction' must be a JSON object"),
+    ({"status": "lrw_le_1", "ordering": [[1]]}, r"names \[1\], which is not a vertex label"),
+    ({"status": "lrw_ge_2", "obstruction": {"vertices": [0, [1]], "family": "hole"}}, r"names \[1\]"),
+    ({"status": "lrw_ge_2", "obstruction": {"vertices": 0, "family": "hole"}}, "'vertices' must be"),
+    ({"status": "lrw_ge_2", "obstruction": {"vertices": [0, 1, 2], "family": "dh_star3",
+                                            "catalog_index": "0"}}, "'catalog_index' must be"),
+])
+def test_certificate_of_the_wrong_json_type_raises_parse_error(payload, named):
+    with pytest.raises(ParseError, match=named):
+        cli.certificate_from_json(path_graph(3), payload)
+
+
 def test_json_schema_fields(tmp_path, capsys):
     path = _write(tmp_path, "net.edges", serialize_graph(net_graph()))
     cli.main(["recognize", "--json", path])

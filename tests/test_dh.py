@@ -191,6 +191,84 @@ def test_obstruction_requires_non_dh():
         non_dh_obstruction(path_graph(4))
 
 
+# -- the one-pass obstruction search against the restarting reference -------------------
+
+
+def _assert_obstruction_matches_reference(g):
+    assert non_dh_obstruction(g) == oracle.reference_non_dh_obstruction(g), g
+
+
+def test_obstruction_matches_reference_on_fixtures_up_to_7():
+    for g in _connected_fixtures(7):
+        if not is_distance_hereditary(g):
+            _assert_obstruction_matches_reference(g)
+
+
+def _relabelled(draw, g):
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def _grown_obstructions(draw, max_n):
+    """A hole, house, gem or domino with trees and twins grown on it."""
+    base = draw(st.sampled_from([house_graph(), gem_graph(), domino_graph()]
+                                + [cycle_graph(k) for k in range(5, 13)]))
+    adj = [set(nb) for nb in base.adj]
+    for w in range(base.n, draw(st.integers(base.n, max(base.n, max_n)))):
+        v = draw(st.integers(0, w - 1))
+        move = draw(st.sampled_from(["pendant", "true_twin", "false_twin"]))
+        nb = {v} if move == "pendant" else adj[v] | {v} if move == "true_twin" else set(adj[v])
+        adj.append(nb)
+        for u in nb:
+            adj[u].add(w)
+    return Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_obstruction_matches_reference_on_grown_obstructions(data):
+    g = data.draw(_grown_obstructions(40))
+    _assert_obstruction_matches_reference(_relabelled(data.draw, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 20), st.integers(0, 10**6))
+def test_obstruction_matches_reference_on_disconnected_graphs(data, n, seed):
+    parts = [data.draw(_grown_obstructions(20)), oracle.random_dh_graph(n, seed)]
+    if data.draw(st.booleans()):
+        parts.append(data.draw(_grown_obstructions(10)))
+    g = disjoint_union(*data.draw(st.permutations(parts)))
+    _assert_obstruction_matches_reference(_relabelled(data.draw, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 40), st.floats(0.05, 0.5), st.integers(0, 10**6))
+def test_obstruction_matches_reference_on_random_graphs(n, density, seed):
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, [p for p in pairs if rng.random() < density])
+    if not is_distance_hereditary(g):
+        _assert_obstruction_matches_reference(g)
+
+
+@pytest.mark.parametrize("c5_ids_first", [False, True])
+def test_obstruction_matches_reference_on_long_path_with_c5(monkeypatch, c5_ids_first):
+    # a path 0..k-1 whose last vertex lies on a C5; every path vertex is deleted
+    k = 200
+    edges = [(i, i + 1) for i in range(k + 3)] + [(k - 1, k + 3)]
+    if c5_ids_first:
+        edges = [(k + 3 - u, k + 3 - v) for u, v in edges]
+    g = Graph(k + 4, edges)
+    tested = []
+    monkeypatch.setattr(dh, "is_distance_hereditary", lambda h: tested.append(h.n) or is_distance_hereditary(h))
+    assert len(non_dh_obstruction(g)) == 5
+    # the input, then one trial for each vertex of the 2-core, which is the C5
+    assert tested == [k + 4, 4, 4, 4, 4, 4]
+    monkeypatch.undo()
+    _assert_obstruction_matches_reference(g)
+
+
 def _classify(sub):
     if all(sub.degree(v) == 2 for v in range(sub.n)) and len(connected_components(sub)) == 1:
         return "hole"

@@ -174,6 +174,15 @@ def test_matches_brute_reference_on_small_dh_graphs():
             assert decompositions_isomorphic(mine, brute), g
 
 
+def test_long_path_decomposition_is_isomorphic_to_itself():
+    # 2994 markers, one level of the marker search each: deeper than the
+    # interpreter's recursion limit
+    g = path_graph(1500)
+    d = canonical_decomposition_dh(g, pruning_sequence(g))
+    assert len(d.markers) == 2994
+    assert decompositions_isomorphic(d, d)
+
+
 def test_dh_decompositions_have_no_prime_blocks():
     for n in range(1, 25, 4):
         g = oracle.random_dh_graph(max(n, 4), seed=n)
