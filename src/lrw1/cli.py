@@ -14,7 +14,7 @@ import sys
 from . import oracle
 from . import recognizer
 from .dh import pruning_sequence
-from .errors import LrwError, ParseError, TooLarge
+from .errors import LrwError, ParseError
 from .graph import Graph, connected_components, parse_graph, serialize_graph
 from .recognizer import (
     Certificate,
@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TooLarge, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except LrwError as exc:
+    except (LrwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

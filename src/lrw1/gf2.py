@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidVertex, NotAPermutation
@@ -58,6 +58,29 @@ def rank(matrix: Gf2Matrix) -> int:
     return rank_of_rows(matrix.rows)
 
 
+def cut_rows(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], side: Iterable[int], cols: Iterable[int]
+) -> list[int]:
+    """Bit rows of the adjacency between `side` and the column vertices `cols`.
+
+    `adj` maps each vertex to its neighbours: a graph's adjacency tuple, or a
+    block's dictionary over original vertices and markers.  Row i belongs to
+    the i-th vertex of `side`; its bit j is set when that vertex is adjacent
+    to the j-th vertex of `cols`.  Neighbours outside `cols` are ignored, so
+    with `cols` the complement of `side` the rank of the rows is the cut rank.
+    """
+    col_pos = {v: i for i, v in enumerate(cols)}
+    rows = []
+    for u in side:
+        m = 0
+        for w in adj[u]:
+            p = col_pos.get(w)
+            if p is not None:
+                m |= 1 << p
+        rows.append(m)
+    return rows
+
+
 def cut_matrix(graph: Graph, side: Iterable[int]) -> Gf2Matrix:
     """Bipartite adjacency matrix between a vertex set and its complement.
 
@@ -69,16 +92,7 @@ def cut_matrix(graph: Graph, side: Iterable[int]) -> Gf2Matrix:
             raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
     rows_lab = tuple(sorted(side_set))
     cols_lab = tuple(v for v in range(graph.n) if v not in side_set)
-    col_pos = {v: i for i, v in enumerate(cols_lab)}
-    rows = []
-    for u in rows_lab:
-        m = 0
-        for w in graph.adj[u]:
-            p = col_pos.get(w)
-            if p is not None:
-                m |= 1 << p
-        rows.append(m)
-    return Gf2Matrix(rows_lab, cols_lab, tuple(rows))
+    return Gf2Matrix(rows_lab, cols_lab, tuple(cut_rows(graph.adj, rows_lab, cols_lab)))
 
 
 def cutrank_of_cut(graph: Graph, side: Iterable[int]) -> int:

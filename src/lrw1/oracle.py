@@ -31,7 +31,7 @@ from .splitdec import (
     Decomposition,
     DecompositionBuilder,
     _classify_adj,
-    _cut_rank_generic,
+    block_splits,
     canonical_decomposition_dh,
     split_tree,
 )
@@ -147,26 +147,8 @@ def brute_strong_splits(graph: Graph) -> list[tuple[int, ...]]:
 # -- top-down canonical decomposition ---------------------------------------------
 
 
-def _block_splits(adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    vs = sorted(adj)
-    n = len(vs)
-    if n < 4:
-        return []
-    anchor, others = vs[0], vs[1:]
-    out = []
-    for mask in range(1 << (n - 1)):
-        side = {anchor}
-        side.update(others[i] for i in range(n - 1) if (mask >> i) & 1)
-        rest = set(vs) - side
-        if len(side) < 2 or len(rest) < 2:
-            continue
-        if _cut_rank_generic(adj, side, rest) == 1:
-            out.append(frozenset(side))
-    return out
-
-
 def _block_strong_splits(adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    splits = _block_splits(adj)
+    splits = list(block_splits(adj))
     universe = frozenset(adj)
     strong = []
     for s in splits:

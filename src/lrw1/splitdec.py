@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 
 from .dh import PruningSequence, replay_pruning
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     NotATreeEdge,
     NotDH,
 )
-from .gf2 import cutrank_of_cut, rank_of_rows
+from .gf2 import cut_rows, cutrank_of_cut, rank_of_rows
 from .graph import Graph
 
 
@@ -48,17 +48,25 @@ def is_split(graph: Graph, side: Iterable[int]) -> bool:
     return cutrank_of_cut(graph, side_set) == 1
 
 
-def _cut_rank_generic(adj: dict[int, set[int]], side: set[int], rest: set[int]) -> int:
-    cols = {v: i for i, v in enumerate(sorted(rest))}
-    rows = []
-    for u in sorted(side):
-        m = 0
-        for w in adj[u]:
-            p = cols.get(w)
-            if p is not None:
-                m |= 1 << p
-        rows.append(m)
-    return rank_of_rows(rows)
+def block_splits(adj: Mapping[int, Iterable[int]]) -> Iterator[frozenset[int]]:
+    """Every split of a block graph, as the side holding its smallest vertex.
+
+    Exhaustive over the 2^(n-1) bipartitions, so only for small blocks; the
+    sides come in the order of the bit masks over the other vertices sorted
+    by id.  A block of fewer than four vertices has no split.
+    """
+    vs = sorted(adj)
+    n = len(vs)
+    if n < 4:
+        return
+    anchor, others = vs[0], vs[1:]
+    for mask in range(1 << (n - 1)):
+        side = {anchor} | {others[i] for i in range(n - 1) if (mask >> i) & 1}
+        rest = [v for v in vs if v not in side]
+        if len(side) < 2 or len(rest) < 2:
+            continue
+        if rank_of_rows(cut_rows(adj, side, rest)) == 1:
+            yield frozenset(side)
 
 
 def _classify_adj(adj: dict[int, set[int]]) -> tuple[str, int | None]:
@@ -228,7 +236,7 @@ class DecompositionBuilder:
         rest = set(adj) - side_set
         if side_set - set(adj):
             raise NotASplit("side is not a subset of the block")
-        if len(side_set) < 2 or len(rest) < 2 or _cut_rank_generic(adj, side_set, rest) != 1:
+        if len(side_set) < 2 or len(rest) < 2 or rank_of_rows(cut_rows(adj, side_set, rest)) != 1:
             raise NotASplit(f"{sorted(side_set)} is not a split of block {bid}")
         hx = self.fresh_marker()
         hy = self.fresh_marker()
@@ -490,23 +498,6 @@ def side_vertices(tree: SplitTree, u: int, v: int) -> tuple[int, ...]:
 # -- canonicity validation -----------------------------------------------------
 
 
-def _block_has_split(adj: dict[int, frozenset[int]]) -> bool:
-    vs = sorted(adj)
-    n = len(vs)
-    if n < 4:
-        return False
-    mutable = {v: set(nb) for v, nb in adj.items()}
-    anchor, others = vs[0], vs[1:]
-    for mask in range(1 << (n - 1)):
-        side = {anchor} | {others[i] for i in range(n - 1) if (mask >> i) & 1}
-        rest = set(vs) - side
-        if len(side) < 2 or len(rest) < 2:
-            continue
-        if _cut_rank_generic(mutable, side, rest) == 1:
-            return True
-    return False
-
-
 _PRIME_CHECK_LIMIT = 16
 
 
@@ -545,7 +536,7 @@ def validate_canonical(decomposition: Decomposition) -> list[tuple]:
         if multi_block and len(blk.vertices) < 3:
             issues.append(("undersized-block", blk.id))
         if kind == "prime" and 4 <= len(blk.vertices) <= _PRIME_CHECK_LIMIT:
-            if _block_has_split(blk.adj):
+            if next(block_splits(blk.adj), None) is not None:
                 issues.append(("splittable-prime", blk.id))
     for m1, m2 in d.marker_pairs:
         b1 = d.block(d.home_of(m1))

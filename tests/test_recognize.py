@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrw1 import oracle
+from lrw1 import recognizer as recognizer_module
 from lrw1.dh import pruning_sequence
 from lrw1.errors import NotApplicable
 from lrw1.gf2 import cutrank_of_ordering
@@ -158,6 +159,31 @@ def test_extraction_rejects_low_degree_node():
         extract_lrw1_obstruction(g, t, d, t.nodes[0].id)
 
 
+def test_recognize_runs_no_brute_force(monkeypatch):
+    # a catalog match proves a DH rejection, so recognition needs neither the
+    # exact-width oracle nor the verifier, and matches the catalog once
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute force on the recognise path")
+
+    catalog = dh_obstruction_catalog()
+    assert len(catalog) == 14
+    graphs = [net_graph(), octahedron_graph(), *catalog]
+    graphs += [oracle.random_branching_dh_graph(8 + seed % 10, seed) for seed in range(50)]
+    for n in range(1, 7):
+        graphs += [g for g in oracle.load_fixture_graphs(n) if len(connected_components(g)) == 1]
+    matches = []
+    match = recognizer_module._match_catalog
+    monkeypatch.setattr(oracle, "brute_lrw", refuse)
+    monkeypatch.setattr(recognizer_module, "verify_certificate", refuse)
+    monkeypatch.setattr(recognizer_module, "_match_catalog", lambda g: matches.append(g) or match(g))
+    certs = [recognize(g) for g in graphs]
+    monkeypatch.undo()
+    stars = [c for c in certs if isinstance(c, ObstructionCertificate) and c.family == "dh_star3"]
+    assert len(stars) >= 66 and len(matches) == len(stars)
+    for g, cert in zip(graphs, certs):
+        assert verify_certificate(g, cert), (g, cert)
+
+
 def test_obstruction_only_when_tree_branches():
     # every DH rejection coincides with a branching split tree
     for seed in range(40):
@@ -246,6 +272,24 @@ def test_verifier_rejects_wrong_family_and_padding():
     assert not verify_certificate(c6, ObstructionCertificate((0, 1, 2, 3, 4, 5), "domino"))
     g = disjoint_union(cycle_graph(5), Graph(1))
     assert not verify_certificate(g, ObstructionCertificate((0, 1, 2, 3, 4, 5), "hole", hole_length=6))
+
+
+def test_large_hole_certificates_verify_structurally():
+    for k in (11, 40):
+        assert verify_certificate(cycle_graph(k), ObstructionCertificate(tuple(range(k)), "hole", hole_length=k))
+    chorded = Graph(12, list(cycle_graph(12).edges) + [(0, 6)])
+    two_c6 = disjoint_union(cycle_graph(6), cycle_graph(6))
+    for g in (chorded, two_c6):
+        out = verify_certificate(g, ObstructionCertificate(tuple(range(12)), "hole", hole_length=12))
+        assert not out and out.reason
+
+
+def test_verifier_fails_oversized_small_family_certificates():
+    # more vertices than the family's members: a failed result, not TooLarge
+    g = cycle_graph(12)
+    for family, index in [("house", None), ("gem", None), ("domino", None), ("dh_star3", 0)]:
+        out = verify_certificate(g, ObstructionCertificate(tuple(range(12)), family, catalog_index=index))
+        assert not out and out.reason, family
 
 
 def test_verifier_rejects_non_minimal_set():
