@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .dh import non_dh_obstruction, pruning_sequence
-from .errors import InternalInvariantViolation, NotApplicable, NotAPath
+from .errors import InternalInvariantViolation, NotApplicable, NotAPath, NotAPermutation
 from .gf2 import cutrank_of_ordering
 from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, canonical_form
 from .named import domino_graph, gem_graph, house_graph
@@ -283,7 +283,9 @@ def recognize(graph: Graph) -> Certificate:
     """
     parts: list[int] = []
     for comp in connected_components(graph):
-        result = _recognize_connected(induced_subgraph(graph, comp))
+        # a connected graph is its own induced subgraph: same ids, same labels
+        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
+        result = _recognize_connected(sub)
         if isinstance(result, ObstructionCertificate):
             return ObstructionCertificate(
                 tuple(comp[i] for i in result.vertices),
@@ -323,18 +325,20 @@ _VERIFY_BRUTE_GUARD = 10
 def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationResult:
     """Independent check of a certificate using only rank and search oracles.
 
-    An ordering is re-scored by direct GF(2) rank at every prefix cut.  An
-    obstruction is re-induced and checked to have the shape its family
-    claims.  Up to the exhaustive guard of 10 vertices it is then checked to
-    have linear rank-width exactly 2 and to lose it under every single vertex
-    deletion.  A larger one can only be a hole, whose chordless-cycle shape
-    check in O(n) already proves both.  A malformed certificate yields a
-    failed result with a reason, never an exception.
+    An ordering is scored by the GF(2) rank of each prefix cut, on one row
+    basis updated as the ordering advances, in O(n + m) when its width is at
+    most 1.  An obstruction is re-induced and checked to have the shape its
+    family claims.  Up to the exhaustive guard of 10 vertices it is then
+    checked to have linear rank-width exactly 2 and to lose it under every
+    single vertex deletion.  A larger one can only be a hole, whose
+    chordless-cycle shape check in O(n) already proves both.  A malformed
+    certificate yields a failed result with a reason, never an exception.
     """
     if isinstance(certificate, OrderingCertificate):
-        if sorted(certificate.order) != list(range(graph.n)):
+        try:
+            width = cutrank_of_ordering(graph, certificate.order)
+        except NotAPermutation:
             return _fail("ordering is not a permutation of the vertex set")
-        width = cutrank_of_ordering(graph, certificate.order)
         if width > 1:
             return _fail(f"ordering has cut rank {width}")
         return _OK

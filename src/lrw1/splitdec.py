@@ -612,8 +612,10 @@ def decompositions_isomorphic(a: Decomposition, b: Decomposition) -> bool:
         )
 
     ms_a = [m.id for m in a.markers]
-    ms_b = [m.id for m in b.markers]
-    sigs_b = {m: marker_sig(b, sadj_b, m) for m in ms_b}
+    # the markers of b with each signature, in the order of b's marker list
+    by_sig: dict[tuple, list[int]] = {}
+    for m in b.markers:
+        by_sig.setdefault(marker_sig(b, sadj_b, m.id), []).append(m.id)
     mmap: dict[int, int] = {}
     imap: dict[int, int] = {}
 
@@ -643,19 +645,21 @@ def decompositions_isomorphic(a: Decomposition, b: Decomposition) -> bool:
                 return False
         return True
 
-    # frames[i]: the index in ms_b of the target that ms_a[i] holds, and
-    # whether ms_a[i]'s block was mapped before it; a depth-first search in the
-    # order of ms_b, kept on this list so that long decompositions do not
-    # exhaust the interpreter's recursion limit
-    sigs_a = {m: marker_sig(a, sadj_a, m) for m in ms_a}
+    # frames[i]: the index, among the markers of b with ms_a[i]'s signature,
+    # of the target that ms_a[i] holds, and whether ms_a[i]'s block was mapped
+    # before it; a depth-first search in the order of b's markers, kept on
+    # this list so that long decompositions do not exhaust the interpreter's
+    # recursion limit
+    cands = [by_sig.get(marker_sig(a, sadj_a, m), []) for m in ms_a]
     frames: list[tuple[int, bool]] = []
     start = 0
     while len(frames) < len(ms_a):
         m = ms_a[len(frames)]
         ha = a.home_of(m)
-        for j in range(start, len(ms_b)):
-            t = ms_b[j]
-            if t in imap or sigs_b[t] != sigs_a[m] or not consistent(m, t):
+        targets = cands[len(frames)]
+        for j in range(start, len(targets)):
+            t = targets[j]
+            if t in imap or not consistent(m, t):
                 continue
             had_block = ha in bmap
             mmap[m] = t

@@ -1,16 +1,19 @@
 """GF(2) rank, cut matrices and cut ranks of orderings."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from lrw1 import cli, oracle
 from lrw1.errors import InvalidVertex, NotAPermutation
 from lrw1.gf2 import Gf2Matrix, cut_matrix, cutrank_of_cut, cutrank_of_ordering, rank, rank_of_rows
-from lrw1.named import cycle_graph, path_graph
-from lrw1.graph import Graph
+from lrw1.named import caterpillar_graph, cycle_graph, disjoint_union, path_graph
+from lrw1.graph import Graph, connected_components, serialize_graph
+from lrw1.recognizer import recognize, verify_certificate
 
 
 # -- rank ---------------------------------------------------------------------
@@ -137,3 +140,87 @@ def test_ordering_requires_permutation():
 def test_ordering_reverse_symmetry(g, data):
     order = data.draw(st.permutations(range(g.n)))
     assert cutrank_of_ordering(g, order) == cutrank_of_ordering(g, list(reversed(order)))
+
+
+# -- the incremental basis against the cut-by-cut definition ----------------------------
+
+
+def _reference_width(g, order, memo=None):
+    """max(cutrank_of_cut(g, order[:i]) for i in 1..n-1), or 0; memo keys prefix sets."""
+    memo = {} if memo is None else memo
+    best = 0
+    for i in range(1, g.n):
+        side = frozenset(order[:i])
+        if side not in memo:
+            memo[side] = cutrank_of_cut(g, side)
+        best = max(best, memo[side])
+    return best
+
+
+def _random_graph(rng, n, density):
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+def test_ordering_matches_reference_on_every_permutation_up_to_6():
+    widths = set()
+    for n in range(1, 7):
+        for g in oracle.load_fixture_graphs(n):
+            if len(connected_components(g)) != 1:
+                continue
+            memo = {}
+            for order in itertools.permutations(range(n)):
+                width = cutrank_of_ordering(g, order)
+                assert width == _reference_width(g, order, memo), (g, order)
+                widths.add(width)
+    assert widths == {0, 1, 2, 3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.floats(0.2, 1.0), st.integers(0, 2**32))
+def test_ordering_matches_reference_on_dense_graphs(n, density, seed):
+    # widths of 2 and more, where each new pivot is eliminated from the other rows
+    rng = random.Random(seed)
+    g = _random_graph(rng, n, density)
+    order = rng.sample(range(n), n)
+    assert cutrank_of_ordering(g, order) == _reference_width(g, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.floats(0.0, 1.0)), min_size=2, max_size=4), st.integers(0, 2**32))
+def test_ordering_matches_reference_on_disconnected_graphs(parts, seed):
+    rng = random.Random(seed)
+    g = disjoint_union(*(_random_graph(rng, n, density) for n, density in parts))
+    order = rng.sample(range(g.n), g.n)
+    assert cutrank_of_ordering(g, order) == _reference_width(g, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10**6))
+def test_ordering_matches_reference_on_recognised_orderings(n, seed):
+    g = oracle.random_lrw1_graph(n, seed)
+    order = recognize(g).order
+    width = cutrank_of_ordering(g, order)
+    assert width == _reference_width(g, order)
+    assert width <= 1
+
+
+def test_ordering_check_builds_no_adjacency_masks(monkeypatch):
+    g = oracle.random_lrw1_graph(2000, 3)
+    cert = recognize(g)
+
+    def refuse(self):
+        raise AssertionError("the ordering check must not build n-bit rows")
+
+    monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+    assert verify_certificate(g, cert)
+    assert cutrank_of_ordering(g, cert.order) == 1
+
+
+def test_verify_of_a_20000_vertex_caterpillar(tmp_path, capsys):
+    # rescoring every prefix cut from scratch is quadratic here; the basis is linear
+    path = tmp_path / "cat.edges"
+    path.write_text(serialize_graph(caterpillar_graph(5000, [3] * 5000)))
+    assert cli.main(["recognize", "--json", str(path)]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["recognize", "--json", "--verify", str(path)]) == 0
+    assert capsys.readouterr().out == plain

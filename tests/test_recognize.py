@@ -262,6 +262,12 @@ def test_verifier_rejects_non_permutation():
     assert not out
 
 
+def test_verifier_names_every_kind_of_non_permutation():
+    for order in [(0, 1), (0, 1, 1), (0, 1, 3), (0, 1, -1), (0, 1, 2, 2)]:
+        out = verify_certificate(path_graph(3), OrderingCertificate(order))
+        assert not out and out.reason == "ordering is not a permutation of the vertex set", order
+
+
 def test_verifier_accepts_c5_obstruction():
     cert = ObstructionCertificate((0, 1, 2, 3, 4), "hole", hole_length=5)
     assert verify_certificate(cycle_graph(5), cert)
