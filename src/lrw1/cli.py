@@ -85,7 +85,9 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
 
 def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
     """Certificate from its JSON form; ParseError naming a missing key, a value
-    of the wrong JSON type, or a label that is not a vertex label."""
+    of the wrong JSON type, or a label that is not a vertex label.  A label
+    must have the type of the vertex label it names: JSON true and 1.0 are
+    equal to 1 in Python but name no vertex labelled 1."""
     ids = {label: v for v, label in enumerate(graph.labels)}
     _require_type(payload, dict, "the certificate")
     try:
@@ -107,9 +109,12 @@ def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
     vs = []
     for label in labels:
         try:
-            vs.append(ids[label])
+            v = ids[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label such as a list
-            raise ParseError(f"certificate names {label!r}, which is not a vertex label") from None
+            v = -1
+        if v < 0 or type(label) is not type(graph.labels[v]):
+            raise ParseError(f"certificate names {label!r}, which is not a vertex label")
+        vs.append(v)
     if ordered:
         return OrderingCertificate(tuple(vs))
     vertices = tuple(sorted(vs))
@@ -125,7 +130,8 @@ _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
 
 
 def _require_type(value, kind: type, what: str) -> None:
-    if not isinstance(value, kind):
+    # bool is an int in Python, but JSON true is not an integer
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
 
 

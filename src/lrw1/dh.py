@@ -213,7 +213,9 @@ def replay_pruning(graph: Graph, seq: PruningSequence) -> None:
 def is_distance_hereditary(graph: Graph) -> bool:
     """True iff every connected component admits a pruning sequence."""
     for comp in connected_components(graph):
-        if pruning_sequence(induced_subgraph(graph, comp)) is None:
+        # a connected graph is its own induced subgraph: same ids, same labels
+        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
+        if pruning_sequence(sub) is None:
             return False
     return True
 

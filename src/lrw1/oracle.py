@@ -30,7 +30,6 @@ from .graph import (
 from .splitdec import (
     Decomposition,
     DecompositionBuilder,
-    _classify_adj,
     block_splits,
     canonical_decomposition_dh,
     split_tree,
@@ -199,11 +198,7 @@ def brute_canonical_decomposition(graph: Graph) -> Decomposition:
             key=lambda t: (-t[1], -t[0]),
         )
         for m1, m2 in pairs:
-            k1, c1 = _classify_adj(builder.badj[builder.mhome[m1]])
-            k2, c2 = _classify_adj(builder.badj[builder.mhome[m2]])
-            if (k1 == "clique" and k2 == "clique") or (
-                k1 == "star" and k2 == "star" and ((c1 == m1) != (c2 == m2))
-            ):
+            if builder.violation(m1, m2):
                 builder.merge_pair(m1, m2)
                 merged = True
                 break

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
 from .dh import PruningSequence, replay_pruning
 from .errors import (
@@ -69,7 +69,7 @@ def block_splits(adj: Mapping[int, Iterable[int]]) -> Iterator[frozenset[int]]:
             yield frozenset(side)
 
 
-def _classify_adj(adj: dict[int, set[int]]) -> tuple[str, int | None]:
+def _classify_adj(adj: Mapping[int, Collection[int]]) -> tuple[str, int | None]:
     """Kind of a block graph: clique / star (with centre) / prime."""
     size = len(adj)
     if size < 3:
@@ -85,6 +85,31 @@ def _classify_adj(adj: dict[int, set[int]]) -> tuple[str, int | None]:
     if centre is None:
         return "prime", None
     return "star", centre
+
+
+def canonical_violation(k1: str, c1: int | None, m1: int, k2: str, c2: int | None, m2: int) -> str | None:
+    """The canonical condition that the marked edge m1-m2 breaks, if any;
+    k and c are the kind and centre of the block holding each marker."""
+    if k1 == "clique" and k2 == "clique":
+        return "adjacent-cliques"
+    if k1 == "star" and k2 == "star" and (c1 == m1) != (c2 == m2):
+        return "star-orientation"
+    return None
+
+
+def _contract(adj: dict[int, set[int]], h1: int, h2: int) -> None:
+    """Contract the marked edge h1-h2 in place: both markers go, and every
+    neighbour of one becomes adjacent to every neighbour of the other."""
+    n1 = adj.pop(h1)
+    n2 = adj.pop(h2)
+    n1.discard(h2)
+    n2.discard(h1)
+    for u in n1:
+        adj[u].discard(h1)
+        adj[u] |= n2
+    for u in n2:
+        adj[u].discard(h2)
+        adj[u] |= n1
 
 
 # -- decomposition data ------------------------------------------------------
@@ -174,9 +199,11 @@ class DecompositionBuilder:
         self._next_marker = -1
 
     def add_block(self, adj: dict[int, set[int]]) -> int:
+        """Add a block and return its id.  The builder takes ownership of adj
+        and of its sets, so the caller must not keep or reuse them."""
         bid = self._next_block
         self._next_block += 1
-        self.badj[bid] = {v: set(nb) for v, nb in adj.items()}
+        self.badj[bid] = adj
         for v in adj:
             if v >= 0:
                 self.vhome[v] = bid
@@ -213,21 +240,16 @@ class DecompositionBuilder:
         b2 = self.mhome.pop(h2)
         del self.partner[h1]
         del self.partner[h2]
-        a1 = self.badj.pop(b1)
-        a2 = self.badj.pop(b2)
-        n1 = a1.pop(h1)
-        n2 = a2.pop(h2)
-        for u in n1:
-            a1[u].discard(h1)
-        for u in n2:
-            a2[u].discard(h2)
-        merged = a1
-        merged.update(a2)
-        for x in n1:
-            for y in n2:
-                merged[x].add(y)
-                merged[y].add(x)
+        merged = self.badj.pop(b1)
+        merged.update(self.badj.pop(b2))
+        _contract(merged, h1, h2)
         return self.add_block(merged)
+
+    def violation(self, h1: int, h2: int) -> str | None:
+        """`canonical_violation` of the marked edge h1-h2 in its current blocks."""
+        k1, c1 = _classify_adj(self.badj[self.mhome[h1]])
+        k2, c2 = _classify_adj(self.badj[self.mhome[h2]])
+        return canonical_violation(k1, c1, h1, k2, c2, h2)
 
     def refine_block(self, bid: int, side: Iterable[int]) -> tuple[int, int]:
         """Split one block along a split of its block graph."""
@@ -242,12 +264,12 @@ class DecompositionBuilder:
         hy = self.fresh_marker()
         ax = {v: adj[v] & side_set for v in side_set}
         fx = {v for v in side_set if adj[v] & rest}
-        ax[hx] = set(fx)
+        ax[hx] = fx
         for v in fx:
             ax[v].add(hx)
         ay = {v: adj[v] & rest for v in rest}
         fy = {v for v in rest if adj[v] & side_set}
-        ay[hy] = set(fy)
+        ay[hy] = fy
         for v in fy:
             ay[v].add(hy)
         del self.badj[bid]
@@ -261,7 +283,7 @@ class DecompositionBuilder:
         for bid in sorted(self.badj):
             adj = self.badj[bid]
             kind, centre = _classify_adj(adj)
-            edges = sorted({(min(u, v), max(u, v)) for u in adj for v in adj[u]})
+            edges = sorted((u, v) for u in adj for v in adj[u] if u < v)  # adj is symmetric
             blocks.append(Block(bid, tuple(sorted(adj)), tuple(edges), kind, centre))
         markers = []
         for m in sorted(self.mhome, reverse=True):
@@ -288,10 +310,7 @@ def refine(graph: Graph, side: Iterable[int]) -> tuple[Block, Block]:
     vertices with neighbours across the split.
     """
     side_set = set(side)
-    for v in side_set:
-        if not 0 <= v < graph.n:
-            raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
-    if not is_split(graph, side_set):
+    if not is_split(graph, side_set):  # raises InvalidVertex on a foreign vertex
         raise NotASplit(f"{sorted(side_set)} is not a split")
     builder = DecompositionBuilder()
     bid = builder.add_block({v: set(graph.adj[v]) for v in range(graph.n)})
@@ -313,18 +332,7 @@ def contract_blocks(blocks: Iterable[Block], pairs: Iterable[tuple[int, int]]) -
     for h1, h2 in pairs:
         if h1 not in adj or h2 not in adj:
             raise MalformedDecomposition(f"marker pair ({h1},{h2}) missing from blocks")
-        n1 = adj.pop(h1)
-        n2 = adj.pop(h2)
-        n1.discard(h2)
-        n2.discard(h1)
-        for u in n1:
-            adj[u].discard(h1)
-        for u in n2:
-            adj[u].discard(h2)
-        for x in n1:
-            for y in n2:
-                adj[x].add(y)
-                adj[y].add(x)
+        _contract(adj, h1, h2)
     return {v: frozenset(nb) for v, nb in adj.items()}
 
 
@@ -363,13 +371,9 @@ def _insert_vertex(builder: DecompositionBuilder, kind: str, w: int, v: int) -> 
         new_adj = {v: {h_new}, w: {h_new}, h_new: {v, w}}
     else:
         raise ValueError(f"unknown step kind {kind!r}")
-    new_bid = builder.add_block(new_adj)
+    builder.add_block(new_adj)
     builder.pair(h_new, h_old)
-    k_new, c_new = _classify_adj(builder.badj[new_bid])
-    k_old, c_old = _classify_adj(builder.badj[bid])
-    if (k_new == "clique" and k_old == "clique") or (
-        k_new == "star" and k_old == "star" and ((c_new == h_new) != (c_old == h_old))
-    ):
+    if builder.violation(h_new, h_old):
         builder.merge_pair(h_new, h_old)
 
 
@@ -379,30 +383,20 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
     Built by replaying the pruning sequence backwards; each insertion is a
     local block operation followed by at most one merge.  Graphs on up to
     three vertices are a single block by definition (splits need two vertices
-    on both sides).
+    on both sides), so the last vertex and the first two re-inserted ones
+    form the seed block.  It is read off the graph: `replay_pruning` has
+    checked every step against the graph, so the graph that re-insertion
+    builds on the vertices placed so far is the subgraph they induce.
     """
     if seq is None:
         raise NotDH("graph is not distance hereditary")
     replay_pruning(graph, seq)
+    steps = seq.steps[::-1]
+    first = {seq.last} | {step.removed for step in steps[:2]}
     builder = DecompositionBuilder()
-    builder.add_block({seq.last: set()})
-    current: dict[int, set[int]] = {seq.last: set()}
-    for step in reversed(seq.steps):
-        w, v = step.removed, step.anchor
-        if step.kind == "pendant":
-            new_nb = {v}
-        elif step.kind == "true_twin":
-            new_nb = {v} | current[v]
-        else:
-            new_nb = set(current[v])
-        current[w] = set(new_nb)
-        for u in new_nb:
-            current[u].add(w)
-        if len(current) <= 3:
-            builder = DecompositionBuilder()
-            builder.add_block({x: set(nb) for x, nb in current.items()})
-        else:
-            _insert_vertex(builder, step.kind, w, v)
+    builder.add_block({x: set(graph.adj[x] & first) for x in first})
+    for step in steps[2:]:
+        _insert_vertex(builder, step.kind, step.removed, step.anchor)
     return builder.freeze(graph)
 
 
@@ -460,39 +454,29 @@ def split_tree(decomposition: Decomposition) -> SplitTree:
     )
     if len(edges) != len(nodes) - 1:
         raise MalformedDecomposition("marker pairs do not form a tree")
-    if nodes:
-        seen = {nodes[0].id}
-        stack = [nodes[0].id]
-        adj: dict[int, list[int]] = {n.id: [] for n in nodes}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(nodes):
-            raise MalformedDecomposition("block adjacency is not connected")
-    return SplitTree(nodes, edges)
+    tree = SplitTree(nodes, edges)
+    if nodes and len(_reach(tree, nodes[0].id, set())) != len(nodes):
+        raise MalformedDecomposition("block adjacency is not connected")
+    return tree
 
 
 def side_vertices(tree: SplitTree, u: int, v: int) -> tuple[int, ...]:
     """Original vertices in the subtree on u's side of the tree edge uv."""
-    if tuple(sorted((u, v))) not in tree.edges:
+    if v not in tree._adj.get(u, ()):
         raise NotATreeEdge(f"({u},{v}) is not a tree edge")
-    out = []
-    seen = {u, v}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        out.extend(tree.node(x).own_vertices)
+    return tuple(sorted(x for nid in _reach(tree, u, {v}) for x in tree.node(nid).own_vertices))
+
+
+def _reach(tree: SplitTree, start: int, blocked: set[int]) -> list[int]:
+    """The nodes reachable from start without entering blocked (which grows)."""
+    blocked.add(start)
+    out = [start]
+    for x in out:
         for y in tree.neighbours(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return tuple(sorted(out))
+            if y not in blocked:
+                blocked.add(y)
+                out.append(y)
+    return out
 
 
 # -- canonicity validation -----------------------------------------------------
@@ -529,8 +513,7 @@ def validate_canonical(decomposition: Decomposition) -> list[tuple]:
         issues.append(("recompose-mismatch",))
     multi_block = len(d.blocks) > 1
     for blk in d.blocks:
-        adj = {v: set(nb) for v, nb in blk.adj.items()}
-        kind, centre = _classify_adj(adj)
+        kind, centre = _classify_adj(blk.adj)
         if (kind, centre) != (blk.kind, blk.centre):
             issues.append(("kind-mismatch", blk.id))
         if multi_block and len(blk.vertices) < 3:
@@ -541,11 +524,9 @@ def validate_canonical(decomposition: Decomposition) -> list[tuple]:
     for m1, m2 in d.marker_pairs:
         b1 = d.block(d.home_of(m1))
         b2 = d.block(d.home_of(m2))
-        if b1.kind == "clique" and b2.kind == "clique":
-            issues.append(("adjacent-cliques", b1.id, b2.id))
-        if b1.kind == "star" and b2.kind == "star":
-            if (b1.centre == m1) != (b2.centre == m2):
-                issues.append(("star-orientation", b1.id, b2.id))
+        violation = canonical_violation(b1.kind, b1.centre, m1, b2.kind, b2.centre, m2)
+        if violation:
+            issues.append((violation, b1.id, b2.id))
     # marked edges must be isthmuses of the block system
     sd_adj: dict[int, set[int]] = {}
     for blk in d.blocks:

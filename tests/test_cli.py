@@ -94,6 +94,17 @@ def test_certificate_of_the_wrong_json_type_raises_parse_error(payload, named):
         cli.certificate_from_json(path_graph(3), payload)
 
 
+@pytest.mark.parametrize("payload, named", [
+    ({"status": "lrw_le_1", "ordering": [0, True, 2]}, "names True, which is not a vertex label"),
+    ({"status": "lrw_le_1", "ordering": [0, 1.0, 2]}, "names 1.0, which is not a vertex label"),
+    ({"status": "lrw_ge_2", "obstruction": {"vertices": [0, 1, 2], "family": "dh_star3",
+                                            "catalog_index": True}}, "'catalog_index' must be an integer"),
+])
+def test_json_bool_and_float_are_not_integer_labels_or_indices(payload, named):
+    with pytest.raises(ParseError, match=named):
+        cli.certificate_from_json(path_graph(3), payload)
+
+
 def test_json_schema_fields(tmp_path, capsys):
     path = _write(tmp_path, "net.edges", serialize_graph(net_graph()))
     cli.main(["recognize", "--json", path])

@@ -1,17 +1,22 @@
 """Splits, refinement, recomposition, canonical decomposition, split trees."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrw1 import oracle
 from lrw1.dh import pruning_sequence
-from lrw1.errors import NotAPath, NotASplit, NotATreeEdge
+from lrw1 import cli
+from lrw1.errors import MalformedDecomposition, NotAPath, NotASplit, NotATreeEdge
 from lrw1.gf2 import cutrank_of_cut
-from lrw1.graph import Graph, connected_components
-from lrw1.named import complete_graph, cycle_graph, net_graph, path_graph
+from lrw1.graph import Graph, connected_components, serialize_graph
+from lrw1.named import caterpillar_graph, complete_graph, cycle_graph, net_graph, path_graph
 from lrw1.splitdec import (
     Block,
+    Decomposition,
+    Marker,
     canonical_decomposition_dh,
     contract_blocks,
     decomposition_to_dot,
@@ -223,6 +228,32 @@ def test_side_vertices_rejects_non_edge():
         side_vertices(t, leaves[0], leaves[1])
 
 
+def test_side_vertices_rejects_a_pair_naming_no_node():
+    t = split_tree(canonical_decomposition_dh(path_graph(4), pruning_sequence(path_graph(4))))
+    for u, v in [(0, 7), (7, 0), (-1, 1)]:
+        with pytest.raises(NotATreeEdge):
+            side_vertices(t, u, v)
+
+
+def test_split_tree_rejects_too_few_marker_pairs():
+    blocks = (Block(0, (0,), (), "prime", None), Block(1, (1,), (), "prime", None))
+    with pytest.raises(MalformedDecomposition, match="marker pairs do not form a tree"):
+        split_tree(Decomposition(blocks, (), Graph(2, [(0, 1)])))
+
+
+def test_split_tree_rejects_a_disconnected_block_system():
+    # two marker pairs join blocks 0 and 1 twice, and block 2 is left out:
+    # the edge count is right for a tree on three nodes, the shape is not
+    blocks = (
+        Block(0, (-3, -1, 0), ((-3, 0), (-1, 0)), "star", 0),
+        Block(1, (-4, -2, 1), ((-4, 1), (-2, 1)), "star", 1),
+        Block(2, (2,), (), "prime", None),
+    )
+    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    with pytest.raises(MalformedDecomposition, match="block adjacency is not connected"):
+        split_tree(Decomposition(blocks, markers, Graph(3, [(0, 1)])))
+
+
 def test_tree_edges_are_splits_with_cutrank_1():
     # every tree edge induces a bipartition of cut rank exactly 1
     for seed in range(25):
@@ -296,3 +327,22 @@ def test_ordering_requires_path_tree():
     d = canonical_decomposition_dh(g, pruning_sequence(g))
     with pytest.raises(NotAPath):
         ordering_from_path_tree(split_tree(d), d)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("net", net_graph()),
+    ("p6", path_graph(6)),
+    ("k5", complete_graph(5)),
+    ("cat", caterpillar_graph(3, [2, 0, 1])),
+    ("dh30", oracle.random_dh_graph(30, 1)),
+])
+def test_decompose_output_is_byte_identical_to_the_golden_file(name, graph, tmp_path, capsys):
+    # block ids, marker ids and the order of every line are pinned, not only
+    # the shape of the decomposition
+    path = tmp_path / "g.edges"
+    path.write_text(serialize_graph(graph))
+    assert cli.main(["decompose", str(path), "--dot-sd", "-", "--dot-tree", "-"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"decompose_{name}.txt").read_text()
