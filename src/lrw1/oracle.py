@@ -15,8 +15,8 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .dh import PruningSequence, PruningStep, is_distance_hereditary, pruning_sequence
-from .errors import AlreadyDH, CapExceeded, Disconnected, TooLarge
+from .dh import PruningSequence, PruningStep, is_distance_hereditary, pruning_sequence, replay_pruning
+from .errors import AlreadyDH, CapExceeded, Disconnected, NotDH, TooLarge
 from .gf2 import rank_of_rows
 from .graph import (
     Graph,
@@ -204,6 +204,51 @@ def brute_canonical_decomposition(graph: Graph) -> Decomposition:
                 break
         if not merged:
             break
+    return builder.freeze(graph)
+
+
+def _insert_vertex(builder: DecompositionBuilder, kind: str, w: int, v: int) -> None:
+    """Re-insert w (a pendant or twin of v) and repair canonicity locally.
+
+    v is replaced inside its block by a marker, and {v, w} becomes a fresh
+    block whose shape encodes the move: star centred at v for a pendant,
+    triangle for a true twin, star centred at the new marker for a false
+    twin.  The only canonical condition that can break is across the one new
+    marked edge, where a single contraction repairs it; merged blocks keep
+    their kind and centre slot, so no repair can cascade.
+    """
+    bid = builder.vhome[v]
+    h_old = builder.markerize(bid, v)
+    h_new = builder.fresh_marker()
+    if kind == "pendant":
+        new_adj = {v: {w, h_new}, w: {v}, h_new: {v}}
+    elif kind == "true_twin":
+        new_adj = {v: {w, h_new}, w: {v, h_new}, h_new: {v, w}}
+    elif kind == "false_twin":
+        new_adj = {v: {h_new}, w: {h_new}, h_new: {v, w}}
+    else:
+        raise ValueError(f"unknown step kind {kind!r}")
+    builder.add_block(new_adj)
+    builder.pair(h_new, h_old)
+    if builder.violation(h_new, h_old):
+        builder.merge_pair(h_new, h_old)
+
+
+def reference_canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Decomposition:
+    """`splitdec.canonical_decomposition_dh` on explicit adjacency sets, kept
+    as the reference: every insertion edits the adjacency of its blocks and
+    reclassifies both blocks of the new marked edge, so a clique block of s
+    vertices costs O(s) an insertion and O(s^2) edges when frozen.  It gives
+    the same block ids, marker ids, kinds, centres and edges."""
+    if seq is None:
+        raise NotDH("graph is not distance hereditary")
+    replay_pruning(graph, seq)
+    steps = seq.steps[::-1]
+    first = {seq.last} | {step.removed for step in steps[:2]}
+    builder = DecompositionBuilder()
+    builder.add_block({x: set(graph.adj[x] & first) for x in first})
+    for step in steps[2:]:
+        _insert_vertex(builder, step.kind, step.removed, step.anchor)
     return builder.freeze(graph)
 
 

@@ -13,10 +13,23 @@ leaf/leaf).  Every connected graph has exactly one canonical decomposition up
 to marker renaming, which is what makes the incremental construction below
 valid: after each insertion a single local repair restores the canonical
 conditions, and uniqueness does the rest.
+
+Representation and cost.  A prime block lists its solid edges.  A clique or
+star block may instead be given by its kind, centre and vertices alone, and
+`Block.edges` and `Block.adj` then list its edges only when read.  The
+distance-hereditary build (`canonical_decomposition_dh`) makes only such
+blocks: a DH graph is totally decomposable, so apart from a seed of at most
+two vertices every block is a clique or a star.  It keeps one record per
+block (kind, centre, member set), so after `replay_pruning` an insertion is
+O(1) amortised and the whole build, its checks included, takes O(n log n)
+time and O(n) memory, independent of the number of edges.  The adjacency-set
+`DecompositionBuilder` serves `refine` and the brute-force oracles, where
+blocks can be prime.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Collection, Iterable, Iterator, Mapping
@@ -115,13 +128,33 @@ def _contract(adj: dict[int, set[int]], h1: int, h2: int) -> None:
 # -- decomposition data ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
+    """One block: a small graph over original vertices and markers.
+
+    `vertices` is sorted.  The solid edges of a clique or star follow from
+    its kind, centre and vertices, so such a block may be given with
+    `listed_edges` None: `edges` and `adj` then derive them on first use.
+    A prime block lists its edges.  Two blocks are equal when their ids,
+    vertices, kinds, centres and edges are.
+    """
+
     id: int
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]  # solid edges inside the block
+    listed_edges: tuple[tuple[int, int], ...] | None  # None: implied by kind and centre
     kind: str  # "clique" | "star" | "prime"
     centre: int | None  # star centre vertex (marker if negative)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Solid edges inside the block."""
+        if self.listed_edges is not None:
+            return self.listed_edges
+        vs = self.vertices
+        if self.kind == "clique":
+            return tuple(itertools.combinations(vs, 2))
+        c = self.centre  # a star: every other vertex is a leaf on c
+        return tuple((x, c) for x in vs if x < c) + tuple((c, x) for x in vs if x > c)
 
     @cached_property
     def adj(self) -> dict[int, frozenset[int]]:
@@ -138,6 +171,18 @@ class Block:
     @property
     def marker_ids(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if v < 0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        if (self.id, self.vertices, self.kind, self.centre) != (other.id, other.vertices, other.kind, other.centre):
+            return False
+        # two implied edge sets with the same kind, centre and vertices agree
+        both_implied = self.listed_edges is None and other.listed_edges is None
+        return both_implied or self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.vertices, self.kind, self.centre))
 
 
 @dataclass(frozen=True)
@@ -188,7 +233,9 @@ class Decomposition:
 
 
 class DecompositionBuilder:
-    """Mutable block system; freeze() turns it into a Decomposition."""
+    """Mutable block system on explicit adjacency sets, for blocks that may
+    be prime (`refine`, the oracle's top-down decomposition and its
+    reference DH build); freeze() turns it into a Decomposition."""
 
     def __init__(self):
         self.badj: dict[int, dict[int, set[int]]] = {}
@@ -285,18 +332,30 @@ class DecompositionBuilder:
             kind, centre = _classify_adj(adj)
             edges = sorted((u, v) for u in adj for v in adj[u] if u < v)  # adj is symmetric
             blocks.append(Block(bid, tuple(sorted(adj)), tuple(edges), kind, centre))
-        markers = []
-        for m in sorted(self.mhome, reverse=True):
-            if m not in self.partner:
-                raise MalformedDecomposition(f"marker {m} has no partner")
-            markers.append(Marker(m, self.mhome[m], self.partner[m]))
-        for m in markers:
-            if self.mhome[m.partner] == m.home:
-                raise MalformedDecomposition("partnered markers share a block")
-        reals = sorted(self.vhome)
-        if reals != list(range(origin.n)):
-            raise MalformedDecomposition("blocks do not partition the original vertices")
-        return Decomposition(tuple(blocks), tuple(markers), origin)
+        return _decomposition(blocks, self.mhome, self.partner, self.vhome, origin)
+
+
+def _decomposition(
+    blocks: list[Block],
+    mhome: Mapping[int, int],
+    partner: Mapping[int, int],
+    reals: Collection[int],
+    origin: Graph,
+) -> Decomposition:
+    """The Decomposition of a finished block system, after its structural
+    checks: every marker is partnered into another block, and the blocks
+    hold each original vertex of origin once (reals lists them)."""
+    markers = []
+    for m in sorted(mhome, reverse=True):
+        if m not in partner:
+            raise MalformedDecomposition(f"marker {m} has no partner")
+        markers.append(Marker(m, mhome[m], partner[m]))
+    for m in markers:
+        if mhome[m.partner] == m.home:
+            raise MalformedDecomposition("partnered markers share a block")
+    if sorted(reals) != list(range(origin.n)):
+        raise MalformedDecomposition("blocks do not partition the original vertices")
+    return Decomposition(tuple(blocks), tuple(markers), origin)
 
 
 # -- refinement and recomposition (graph-level API) ---------------------------
@@ -350,54 +409,93 @@ def recompose(decomposition: Decomposition) -> Graph:
 # -- canonical decomposition of distance-hereditary graphs --------------------
 
 
-def _insert_vertex(builder: DecompositionBuilder, kind: str, w: int, v: int) -> None:
-    """Re-insert w (a pendant or twin of v) and repair canonicity locally.
+@dataclass(slots=True)
+class _Cell:
+    """A block of the DH build: its id, kind, centre and members, plus the
+    edges of a prime seed.  Every member's home is the cell itself, so a
+    merge that gives the block a fresh id updates no member."""
 
-    v is replaced inside its block by a marker, and {v, w} becomes a fresh
-    block whose shape encodes the move: star centred at v for a pendant,
-    triangle for a true twin, star centred at the new marker for a false
-    twin.  The only canonical condition that can break is across the one new
-    marked edge, where a single contraction repairs it; merged blocks keep
-    their kind and centre slot, so no repair can cascade.
-    """
-    bid = builder.vhome[v]
-    h_old = builder.markerize(bid, v)
-    h_new = builder.fresh_marker()
-    if kind == "pendant":
-        new_adj = {v: {w, h_new}, w: {v}, h_new: {v}}
-    elif kind == "true_twin":
-        new_adj = {v: {w, h_new}, w: {v, h_new}, h_new: {v, w}}
-    elif kind == "false_twin":
-        new_adj = {v: {h_new}, w: {h_new}, h_new: {v, w}}
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-    builder.add_block(new_adj)
-    builder.pair(h_new, h_old)
-    if builder.violation(h_new, h_old):
-        builder.merge_pair(h_new, h_old)
+    id: int
+    kind: str
+    centre: int | None
+    members: set[int]
+    edges: tuple[tuple[int, int], ...] | None = None
 
 
 def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Decomposition:
     """Canonical decomposition of a connected distance-hereditary graph.
 
-    Built by replaying the pruning sequence backwards; each insertion is a
-    local block operation followed by at most one merge.  Graphs on up to
+    Built by replaying the pruning sequence backwards.  Graphs on up to
     three vertices are a single block by definition (splits need two vertices
     on both sides), so the last vertex and the first two re-inserted ones
     form the seed block.  It is read off the graph: `replay_pruning` has
     checked every step against the graph, so the graph that re-insertion
     builds on the vertices placed so far is the subgraph they induce.
+
+    Every block is a clique or a star, kept as its kind, centre and member
+    set; only a seed of at most two vertices is prime and lists its edges.
+    Re-inserting w, a pendant or twin of v, replaces v in its block by a
+    marker h_old paired with the marker h_new of a fresh 3-block
+    {v, w, h_new}.  The one canonical condition that can break is across
+    that marked edge, and contracting it merges the 3-block back under a
+    fresh block id: v returns in place of h_old and w joins beside it, a
+    clique stays a clique and a star keeps its centre, so no repair can
+    cascade.  So an insertion is O(1) amortised, builds no edge and updates
+    no member's home, and after `replay_pruning` the build and its checks
+    take O(n log n) time and O(n) memory, however many edges the graph has.
     """
     if seq is None:
         raise NotDH("graph is not distance hereditary")
     replay_pruning(graph, seq)
     steps = seq.steps[::-1]
     first = {seq.last} | {step.removed for step in steps[:2]}
-    builder = DecompositionBuilder()
-    builder.add_block({x: set(graph.adj[x] & first) for x in first})
+    seed = {x: graph.adj[x] & first for x in first}
+    cell = _Cell(0, *_classify_adj(seed), set(first))
+    if cell.kind == "prime":
+        cell.edges = tuple((u, v) for u in sorted(first) for v in sorted(seed[u]) if u < v)
+    cells = [cell]
+    home = dict.fromkeys(first, cell)  # original vertex -> its cell
+    mhome: dict[int, _Cell] = {}
+    partner: dict[int, int] = {}
+    next_block, next_marker = 1, -1
     for step in steps[2:]:
-        _insert_vertex(builder, step.kind, step.removed, step.anchor)
-    return builder.freeze(graph)
+        w, v = step.removed, step.anchor
+        cell = home[v]
+        h_old, h_new = next_marker, next_marker - 1
+        next_marker -= 2
+        # the 3-block {v, w, h_new}: a star centred at v for a pendant, a
+        # triangle for a true twin, a star centred at h_new for a false twin
+        if step.kind == "pendant":
+            kind, centre = "star", v
+        elif step.kind == "true_twin":
+            kind, centre = "clique", None
+        else:  # replay_pruning has rejected every other kind
+            kind, centre = "star", h_new
+        old_centre = h_old if cell.centre == v else cell.centre  # after markerizing v
+        if canonical_violation(kind, centre, h_new, cell.kind, old_centre, h_old):
+            # merge: the 3-block took id next_block and the merged block takes
+            # the next; its centre, the one that is not a marker of the pair,
+            # is the block's centre before v was markerized
+            cell.id = next_block + 1
+            next_block += 2
+            cell.members.add(w)
+            home[w] = cell
+            continue
+        cell.members.remove(v)
+        cell.members.add(h_old)
+        cell.centre = old_centre
+        new = _Cell(next_block, kind, centre, {v, w, h_new})
+        next_block += 1
+        cells.append(new)
+        home[v] = home[w] = new
+        mhome[h_old] = cell
+        mhome[h_new] = new
+        partner[h_old] = h_new
+        partner[h_new] = h_old
+    cells.sort(key=lambda c: c.id)
+    blocks = [Block(c.id, tuple(sorted(c.members)), c.edges, c.kind, c.centre) for c in cells]
+    marker_home = {m: c.id for m, c in mhome.items()}
+    return _decomposition(blocks, marker_home, partner, home, graph)
 
 
 # -- split tree ----------------------------------------------------------------
@@ -535,24 +633,46 @@ def validate_canonical(decomposition: Decomposition) -> list[tuple]:
     for m1, m2 in d.marker_pairs:
         sd_adj[m1].add(m2)
         sd_adj[m2].add(m1)
+    bridges = _bridges(sd_adj)
     for m1, m2 in d.marker_pairs:
-        seen = {m1}
-        stack = [m1]
-        reached = False
-        while stack and not reached:
-            x = stack.pop()
-            for y in sd_adj[x]:
-                if x == m1 and y == m2:
-                    continue
-                if y == m2:
-                    reached = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if reached:
+        if (m1, m2) not in bridges:
             issues.append(("marked-edge-not-isthmus", m1, m2))
     return issues
+
+
+def _bridges(adj: Mapping[int, Collection[int]]) -> set[tuple[int, int]]:
+    """The isthmuses (bridges) of a simple graph, as (min, max) pairs.
+
+    One iterative depth-first search in O(n + m): the tree edge from p to x
+    is a bridge iff no back edge from x's subtree reaches p or above it,
+    i.e. low[x] > disc[p].
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    out: set[tuple[int, int]] = set()
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            x, parent, todo = stack[-1]
+            for y in todo:
+                if y == parent:
+                    continue
+                if y in disc:
+                    low[x] = min(low[x], disc[y])
+                else:
+                    disc[y] = low[y] = len(disc)
+                    stack.append((y, x, iter(adj[y])))
+                    break
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[x])
+                    if low[x] > disc[parent]:
+                        out.add((min(x, parent), max(x, parent)))
+    return out
 
 
 # -- comparison and export -----------------------------------------------------

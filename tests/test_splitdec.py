@@ -346,3 +346,87 @@ def test_decompose_output_is_byte_identical_to_the_golden_file(name, graph, tmp_
     path.write_text(serialize_graph(graph))
     assert cli.main(["decompose", str(path), "--dot-sd", "-", "--dot-tree", "-"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"decompose_{name}.txt").read_text()
+
+
+# -- the implicit DH build against the adjacency-set reference -------------------------------------
+
+
+def _assert_same_as_reference(g):
+    seq = pruning_sequence(g)
+    mine = canonical_decomposition_dh(g, seq)
+    reference = oracle.reference_canonical_decomposition_dh(g, seq)
+    # block ids, marker ids, vertices, kinds, centres and edges, all equal
+    assert mine == reference, g
+    assert [b.edges for b in mine.blocks] == [b.edges for b in reference.blocks]
+    assert [b.adj for b in mine.blocks] == [b.adj for b in reference.blocks]
+
+
+def test_dh_build_equals_the_reference_on_connected_fixtures():
+    for n in range(1, 8):
+        for g in oracle.load_fixture_graphs(n):
+            if len(connected_components(g)) == 1 and pruning_sequence(g) is not None:
+                _assert_same_as_reference(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10**6), st.booleans())
+def test_dh_build_equals_the_reference_on_random_graphs(n, seed, width_one):
+    make = oracle.random_lrw1_graph if width_one else oracle.random_dh_graph
+    _assert_same_as_reference(make(n, seed))
+
+
+def test_dh_build_equals_the_reference_on_cliques_and_complete_bipartite_graphs():
+    for n in range(1, 31):
+        _assert_same_as_reference(complete_graph(n))
+    for a in range(1, 9):
+        for b in range(1, 9):
+            _assert_same_as_reference(Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)]))
+
+
+def test_dh_build_equals_the_reference_on_the_obstruction_catalog():
+    from lrw1.recognizer import dh_obstruction_catalog
+
+    catalog = dh_obstruction_catalog()
+    assert len(catalog) == 14
+    for g in catalog:
+        _assert_same_as_reference(g)
+
+
+def test_recognition_lists_no_block_edges(monkeypatch, tmp_path, capsys):
+    import lrw1.splitdec as splitdec_module
+    from lrw1.recognizer import OrderingCertificate, recognize
+
+    graphs = [oracle.random_lrw1_graph(2000, 1), complete_graph(300)]
+    classified = []
+    classify = splitdec_module._classify_adj
+
+    def refuse(self):
+        raise AssertionError("a block's edges were listed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Block, "edges", property(refuse))
+        patch.setattr(Block, "adj", property(refuse))
+        patch.setattr(splitdec_module, "_classify_adj", lambda adj: classified.append(len(adj)) or classify(adj))
+        for g in graphs:
+            classified.clear()
+            assert isinstance(recognize(g), OrderingCertificate)
+            assert classified == [3]  # the seed block, once
+    for g in graphs:
+        path = tmp_path / "g.edges"
+        path.write_text(serialize_graph(g))
+        assert cli.main(["decompose", str(path), "--dot-sd", "-", "--dot-tree", "-"]) == 0
+        reference = oracle.reference_canonical_decomposition_dh(g, pruning_sequence(g))
+        assert decomposition_to_dot(reference) in capsys.readouterr().out
+
+
+def test_validate_flags_marked_edges_on_a_cycle():
+    # blocks 0 and 1 are joined by two marker pairs, so the block system has
+    # a cycle through both marked edges and neither is an isthmus
+    blocks = (
+        Block(0, (-3, -1, 0), ((-3, -1), (-3, 0), (-1, 0)), "clique", None),
+        Block(1, (-4, -2, 1), ((-4, -2), (-4, 1), (-2, 1)), "clique", None),
+    )
+    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    d = Decomposition(blocks, markers, Graph(2, [(0, 1)]))
+    isthmus_issues = [v for v in validate_canonical(d) if v[0] == "marked-edge-not-isthmus"]
+    assert isthmus_issues == [("marked-edge-not-isthmus", -4, -3), ("marked-edge-not-isthmus", -2, -1)]
