@@ -175,8 +175,7 @@ def _cmd_decompose(args) -> int:
         return EXIT_ERROR
     seq = pruning_sequence(graph)
     if seq is None:
-        cert = recognizer.recognize(graph)
-        assert isinstance(cert, ObstructionCertificate)
+        cert = recognizer.non_dh_certificate(graph)
         vs = " ".join(str(graph.labels[v]) for v in cert.vertices)
         print(f"not distance hereditary; obstruction [{cert.family}]: {vs}")
         return EXIT_OBSTRUCTION

@@ -12,10 +12,14 @@ twin buckets from one step to the next and costs O((n + m) log n);
 O(n(n + m)), and the tests require the two to agree step for step.
 
 `non_dh_obstruction` makes one ascending pass over the 2-core C and deletes
-each vertex whose removal leaves the rest non-DH: |C| + 1 DH tests, so
-O(n(n + m) log n).  `oracle.reference_non_dh_obstruction` restarts at the
-lowest id after every deletion and tries every vertex, up to about n^2 DH
-tests; the tests require the two to return the same vertex tuple.
+each vertex whose removal leaves the rest non-DH.  Each trial is peeled back
+to its 2-core, and the pass stops as soon as the kept set is itself a hole,
+house, gem or domino (`minimal_non_dh_family`), the set the rest of the pass
+would keep.  That is at most |C| + 1 DH tests, so O(n(n + m) log n), and none
+at all when the 2-core is already one of the four, as for a hole.
+`oracle.reference_non_dh_obstruction` restarts at the lowest id after every
+deletion and tries every vertex, up to about n^2 DH tests; the tests require
+the two to return the same vertex tuple.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from heapq import heappop, heappush
 from operator import xor
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
-from .graph import Graph, connected_components, induced_subgraph, two_core
+from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, two_core
+from .named import domino_graph, gem_graph, house_graph
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,29 @@ def is_distance_hereditary(graph: Graph) -> bool:
     return True
 
 
+# the minimal non-DH graphs other than holes, in the order they are tried;
+# built once, at import
+_SMALL_NON_DH = {"house": house_graph(), "gem": gem_graph(), "domino": domino_graph()}
+
+
+def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
+    """("hole", k) when the graph is a chordless cycle of length k >= 5,
+    (family, None) when it is a house, gem or domino, else None.
+
+    These are exactly the minimal non-DH graphs (Bandelt & Mulder, JCTB 41,
+    1986).  A hole costs O(n); any other graph is refused after its first
+    vertex of degree other than 2 unless it has 5 or 6 vertices, the only
+    orders the isomorphism test is tried on.
+    """
+    n = graph.n
+    if n >= 5 and all(len(nb) == 2 for nb in graph.adj) and len(connected_components(graph)) == 1:
+        return "hole", n
+    for family, member in _SMALL_NON_DH.items():
+        if n == member.n and is_isomorphic_small(graph, member):
+            return family, None
+    return None
+
+
 def non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
 
@@ -238,13 +266,44 @@ def non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
       2-core of G[K ∩ C], so every vertex outside C would be deleted and no
       decision on a vertex of C depends on them.
 
-    That costs |C| + 1 DH tests, O(n(n + m) log n) in all.
+    The pass does that work with three shortcuts, none of which changes the
+    tuple:
+
+    - **Re-peel.**  The kept set K is always a 2-core.  A trial for v is the
+      2-core of K - {v}, which is also the 2-core of the plain pass's kept
+      set minus v; if it is non-DH it becomes K, and the vertices peeled out
+      of it are skipped, since the plain pass deletes each of them: its
+      2-core, hence its DH status, does not change without them.
+    - **Stop rule.**  Once G[K] is a minimal non-DH graph M (a hole, house,
+      gem or domino, by `minimal_non_dh_family`), the plain pass would end
+      with exactly M, so the pass returns it.  A later vertex outside M is
+      deleted, as the rest still contains M; a
+      later j in M is kept, as the 2-core of K - {j} lies in M - {j},
+      which is DH because M is minimal; and an earlier kept vertex lies in
+      every obstruction inside K, so in M.  C is classified before any test,
+      so a hole costs no DH test at all.
+    - **One DH test on G[C]**, not on the whole graph, raises `AlreadyDH`
+      when the stop rule has not fired on C.
+
+    That is still at most |C| + 1 DH tests, each on a 2-core, so
+    O(n(n + m) log n) in the worst case, which a small obstruction inside a
+    large 2-core still reaches.  A hole, or a 2-core that is already one of
+    the four families, costs O(n + m) and no DH test.
     """
-    if is_distance_hereditary(graph):
-        raise AlreadyDH("graph is distance hereditary")
     keep = two_core(graph)
-    for v in list(keep):
-        trial = [u for u in keep if u != v]
-        if not is_distance_hereditary(induced_subgraph(graph, trial)):
-            keep = trial
-    return tuple(keep)
+    sub = induced_subgraph(graph, keep)
+    if minimal_non_dh_family(sub) is not None:
+        return tuple(keep)
+    if is_distance_hereditary(sub):
+        raise AlreadyDH("graph is distance hereditary")
+    kept = set(keep)
+    for v in keep:
+        if v not in kept:
+            continue
+        trial = two_core(graph, kept - {v})
+        sub = induced_subgraph(graph, trial)
+        if not is_distance_hereditary(sub):
+            if minimal_non_dh_family(sub) is not None:
+                return tuple(trial)
+            kept = set(trial)
+    return tuple(sorted(kept))

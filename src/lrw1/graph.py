@@ -140,18 +140,28 @@ def connected_components(graph: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def two_core(graph: Graph) -> list[int]:
-    """Sorted vertices left after repeatedly deleting vertices of degree at most 1."""
-    degree = [len(nb) for nb in graph.adj]
-    peeled = [d <= 1 for d in degree]
-    stack = [v for v in range(graph.n) if peeled[v]]
+def two_core(graph: Graph, vertices: Iterable[int] | None = None) -> list[int]:
+    """Sorted vertices left after repeatedly deleting vertices of degree at most 1,
+    from the whole graph or from the subgraph it induces on `vertices`.
+
+    The vertices keep their ids in `graph`.  The cost is linear in the size of
+    the subset and the degrees of its members in `graph`.
+    """
+    if vertices is None:
+        degree = {v: len(nb) for v, nb in enumerate(graph.adj)}
+    else:
+        inside = set(vertices)
+        degree = {v: len(graph.adj[v] & inside) for v in inside}
+    stack = [v for v, d in degree.items() if d <= 1]
+    peeled = set(stack)
     while stack:
         for u in graph.adj[stack.pop()]:
-            degree[u] -= 1
-            if degree[u] <= 1 and not peeled[u]:
-                peeled[u] = True
-                stack.append(u)
-    return [v for v in range(graph.n) if not peeled[v]]
+            if u in degree and u not in peeled:
+                degree[u] -= 1
+                if degree[u] <= 1:
+                    peeled.add(u)
+                    stack.append(u)
+    return sorted(v for v in degree if v not in peeled)
 
 
 # -- isomorphism (small graphs only) ----------------------------------------

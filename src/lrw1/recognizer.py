@@ -14,11 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import oracle
-from .dh import non_dh_obstruction, pruning_sequence
+from .dh import minimal_non_dh_family, non_dh_obstruction, pruning_sequence
 from .errors import InternalInvariantViolation, NotApplicable, NotAPath, NotAPermutation
 from .gf2 import cutrank_of_ordering
 from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, canonical_form
-from .named import domino_graph, gem_graph, house_graph
 from .splitdec import (
     Decomposition,
     SplitTree,
@@ -247,30 +246,6 @@ def extract_lrw1_obstruction(
     return vs
 
 
-# -- classification of non-DH obstructions ----------------------------------------------
-
-
-def _is_cycle(graph: Graph) -> bool:
-    return (
-        graph.n >= 3
-        and all(graph.degree(v) == 2 for v in range(graph.n))
-        and len(connected_components(graph)) == 1
-    )
-
-
-# the minimal non-DH graphs other than holes, in the order they are tried
-_SMALL_NON_DH = {"house": house_graph(), "gem": gem_graph(), "domino": domino_graph()}
-
-
-def _classify_non_dh(graph: Graph) -> tuple[str, int | None]:
-    if _is_cycle(graph) and graph.n >= 5:
-        return "hole", graph.n
-    for family, member in _SMALL_NON_DH.items():
-        if graph.n == member.n and is_isomorphic_small(graph, member):
-            return family, None
-    raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")
-
-
 # -- recognition ------------------------------------------------------------------------
 
 
@@ -302,9 +277,7 @@ def _recognize_connected(graph: Graph):
         return tuple(range(graph.n))
     seq = pruning_sequence(graph)
     if seq is None:
-        vs = non_dh_obstruction(graph)
-        family, k = _classify_non_dh(induced_subgraph(graph, vs))
-        return ObstructionCertificate(vs, family, hole_length=k)
+        return non_dh_certificate(graph)
     decomposition = canonical_decomposition_dh(graph, seq)
     tree = split_tree(decomposition)
     if tree.is_path():
@@ -314,6 +287,16 @@ def _recognize_connected(graph: Graph):
     return ObstructionCertificate(
         vs, "dh_star3", catalog_index=_match_catalog(induced_subgraph(graph, vs))
     )
+
+
+def non_dh_certificate(graph: Graph) -> ObstructionCertificate:
+    """The minimal obstruction of a graph known not to be distance hereditary."""
+    vs = non_dh_obstruction(graph)
+    found = minimal_non_dh_family(induced_subgraph(graph, vs))
+    if found is None:
+        raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")
+    family, k = found
+    return ObstructionCertificate(vs, family, hole_length=k)
 
 
 # -- certificate verification --------------------------------------------------------------
@@ -372,16 +355,13 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
 
 def _check_family_shape(sub: Graph, certificate: ObstructionCertificate) -> VerificationResult | None:
     fam = certificate.family
-    if fam == "hole":
-        if not _is_cycle(sub) or sub.n < 5:
-            return _fail("hole certificate does not induce a chordless cycle")
-        if certificate.hole_length != sub.n:
+    if fam in ("hole", "house", "gem", "domino"):
+        found = minimal_non_dh_family(sub)
+        if found is None or found[0] != fam:
+            shape = "chordless cycle" if fam == "hole" else fam
+            return _fail(f"{fam} certificate does not induce a {shape}")
+        if fam == "hole" and certificate.hole_length != sub.n:
             return _fail("hole length does not match the vertex set")
-    elif fam in _SMALL_NON_DH:
-        # compare orders first: the isomorphism test refuses large graphs
-        member = _SMALL_NON_DH[fam]
-        if sub.n != member.n or not is_isomorphic_small(sub, member):
-            return _fail(f"{fam} certificate does not induce a {fam}")
     elif fam == "dh_star3":
         catalog = dh_obstruction_catalog()
         idx = certificate.catalog_index

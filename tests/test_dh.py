@@ -11,12 +11,13 @@ from lrw1 import dh, oracle
 from lrw1.dh import (
     PruningStep,
     is_distance_hereditary,
+    minimal_non_dh_family,
     non_dh_obstruction,
     pruning_sequence,
     replay_pruning,
 )
 from lrw1.errors import AlreadyDH, Disconnected, InvalidSequence
-from lrw1.graph import Graph, connected_components, induced_subgraph, is_isomorphic_small
+from lrw1.graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, two_core
 from lrw1.named import (
     caterpillar_graph,
     complete_graph,
@@ -263,10 +264,72 @@ def test_obstruction_matches_reference_on_long_path_with_c5(monkeypatch, c5_ids_
     tested = []
     monkeypatch.setattr(dh, "is_distance_hereditary", lambda h: tested.append(h.n) or is_distance_hereditary(h))
     assert len(non_dh_obstruction(g)) == 5
-    # the input, then one trial for each vertex of the 2-core, which is the C5
-    assert tested == [k + 4, 4, 4, 4, 4, 4]
+    # the 2-core is the C5, which the stop rule returns with no DH test
+    assert tested == []
     monkeypatch.undo()
     _assert_obstruction_matches_reference(g)
+
+
+def _c5_path_k4(k4_ids_first):
+    # a C5 on 0..4 and a K4 on 7..10, joined by the path 4-5-6-7
+    edges = list(cycle_graph(5).edges) + [(4, 5), (5, 6), (6, 7)]
+    edges += [(7 + u, 7 + v) for u, v in complete_graph(4).edges]
+    if k4_ids_first:
+        edges = [(10 - u, 10 - v) for u, v in edges]
+    return Graph(11, edges)
+
+
+@pytest.mark.parametrize("k4_ids_first, sizes", [
+    # G[C]; the C5 vertices, each leaving the K4; the path vertex 5, leaving
+    # the C5 and the K4 (6 is peeled with it); 7, leaving the C5 and a
+    # triangle; 8, leaving the C5, where the stop rule fires
+    (False, [11, 4, 4, 4, 4, 4, 9, 8, 5]),
+    # G[C]; vertex 0 of the K4, leaving a triangle, the path and the C5;
+    # vertex 1, whose trial peels everything but the C5: the stop rule fires
+    (True, [11, 10, 5]),
+])
+def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
+    g = _c5_path_k4(k4_ids_first)
+    tested = []
+    monkeypatch.setattr(dh, "is_distance_hereditary", lambda h: tested.append(h.n) or is_distance_hereditary(h))
+    vs = non_dh_obstruction(g)
+    assert tested == sizes
+    monkeypatch.undo()
+    assert vs == (tuple(range(6, 11)) if k4_ids_first else tuple(range(5)))
+    _assert_obstruction_matches_reference(g)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), octahedron_graph()]
+                         + [oracle.random_dh_graph(n, s) for n in (10, 40, 400) for s in (1, 2, 3)])
+def test_obstruction_requires_non_dh_with_a_2_core(g):
+    assert two_core(g)
+    with pytest.raises(AlreadyDH):
+        non_dh_obstruction(g)
+
+
+def test_minimal_non_dh_family():
+    for k in range(5, 9):
+        assert minimal_non_dh_family(cycle_graph(k)) == ("hole", k)
+    for family, g in [("house", house_graph()), ("gem", gem_graph()), ("domino", domino_graph())]:
+        assert minimal_non_dh_family(g) == (family, None)
+    for g in [cycle_graph(4), complete_graph(5), path_graph(6), net_graph(),
+              disjoint_union(cycle_graph(5), cycle_graph(5))]:
+        assert minimal_non_dh_family(g) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 68), st.integers(0, 10**6))
+def test_obstruction_matches_reference_on_dh_graphs_with_a_hung_obstruction(data, n, seed):
+    """A random DH graph with a hole, house, gem or domino joined to it by
+    one to three edges, up to 80 vertices in all."""
+    base = oracle.random_dh_graph(n, seed)
+    hung = data.draw(st.sampled_from([house_graph(), gem_graph(), domino_graph()]
+                                     + [cycle_graph(k) for k in range(5, 13)]))
+    g = disjoint_union(base, hung)
+    joins = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(n, g.n - 1)),
+                               min_size=1, max_size=3, unique=True))
+    g = Graph(g.n, list(g.edges) + joins)
+    _assert_obstruction_matches_reference(_relabelled(data.draw, g))
 
 
 def _classify(sub):

@@ -19,6 +19,7 @@ from lrw1.graph import (
     pivot,
     serialize_graph,
     to_graph6,
+    two_core,
 )
 from lrw1.named import (
     complete_graph,
@@ -137,6 +138,15 @@ def test_induced_monotone_via_labels(g, data):
     direct = induced_subgraph(g, t)
     assert relabelled_edge_set(nested) == relabelled_edge_set(direct)
     assert sorted(nested.labels) == sorted(direct.labels)
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=9), st.data())
+def test_two_core_of_a_subset_is_the_two_core_of_its_induced_subgraph(g, data):
+    s = data.draw(st.sets(st.sampled_from(range(g.n)))) if g.n else set()
+    sub = induced_subgraph(g, s)
+    assert two_core(g, s) == sorted(sub.labels[v] for v in two_core(sub))
+    assert two_core(g, range(g.n)) == two_core(g)
 
 
 # -- local complementation and pivoting --------------------------------------------

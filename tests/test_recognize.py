@@ -298,6 +298,13 @@ def test_verifier_fails_oversized_small_family_certificates():
         assert not out and out.reason, family
 
 
+def test_verifier_fails_unknown_families():
+    # a family read from JSON may be any JSON value, a list included
+    for family in ["triangle", None, ["hole"], {"hole": 5}]:
+        out = verify_certificate(cycle_graph(5), ObstructionCertificate((0, 1, 2, 3, 4), family))
+        assert not out and out.reason.startswith("unknown obstruction family"), family
+
+
 def test_verifier_rejects_non_minimal_set():
     g = Graph(6, list(cycle_graph(5).edges) + [(0, 5)])
     cert = ObstructionCertificate((0, 1, 2, 3, 4, 5), "hole", hole_length=6)
