@@ -25,7 +25,7 @@ the two to return the same vertex tuple.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
 from operator import xor
@@ -44,8 +44,19 @@ class PruningStep:
 
 @dataclass(frozen=True)
 class PruningSequence:
+    """A pendant/twin elimination: `steps` in order, then the `last` vertex.
+
+    `graph` is the graph object that `pruning_sequence` checked every step
+    against while building the sequence, and None for any sequence built by
+    hand, by `dataclasses.replace` or by the reference pruner.  Only
+    `pruning_sequence` sets it, after construction, so a sequence vouches
+    only for the very graph it was proved on.  It takes no part in equality,
+    hashing or repr.
+    """
+
     steps: tuple[PruningStep, ...]
     last: int
+    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
 
 # Seeds the per-vertex codes behind the neighbourhood keys; fixed so that a
@@ -183,11 +194,18 @@ def pruning_sequence(graph: Graph) -> PruningSequence | None:
             join(1, new ^ code[u], u)
             push(u)
         steps.append(step)
-    return PruningSequence(tuple(steps), alive.index(True))
+    seq = PruningSequence(tuple(steps), alive.index(True))
+    object.__setattr__(seq, "graph", graph)  # frozen, and not an init argument
+    return seq
 
 
 def replay_pruning(graph: Graph, seq: PruningSequence) -> None:
-    """Re-verify every step of a pruning sequence against its definition."""
+    """Re-verify every step of a pruning sequence against its definition.
+
+    Every sequence given is checked, whatever its `graph` field says; it is
+    the caller that skips the replay of a sequence `pruning_sequence` built
+    on the same graph object, having checked each step as it went.
+    """
     if graph.n == 0:
         raise InvalidSequence("no sequence can prune an empty graph")
     if len(seq.steps) != graph.n - 1:
@@ -217,12 +235,8 @@ def replay_pruning(graph: Graph, seq: PruningSequence) -> None:
 
 def is_distance_hereditary(graph: Graph) -> bool:
     """True iff every connected component admits a pruning sequence."""
-    for comp in connected_components(graph):
-        # a connected graph is its own induced subgraph: same ids, same labels
-        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
-        if pruning_sequence(sub) is None:
-            return False
-    return True
+    comps = connected_components(graph)
+    return all(pruning_sequence(induced_subgraph(graph, comp)) is not None for comp in comps)
 
 
 # the minimal non-DH graphs other than holes, in the order they are tried;

@@ -82,11 +82,17 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
 
     Vertices keep their original labels, so two induced subgraphs taken along
     different routes agree exactly when their label/edge structure agrees.
+    Once every id is checked to be in range, a set that holds all n of them,
+    in any order and with any repeats, induces the graph itself, which is
+    returned as it is: G[V] keeps the same ids and labels, and a `Graph`
+    cannot change.
     """
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < graph.n:
             raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
+    if len(vs) == graph.n:
+        return graph
     pos = {v: i for i, v in enumerate(vs)}
     edges = [(pos[u], pos[v]) for u in vs for v in graph.adj[u] if v in pos and u < v]
     return Graph(len(vs), edges, labels=[graph.labels[v] for v in vs])

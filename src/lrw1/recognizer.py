@@ -258,9 +258,7 @@ def recognize(graph: Graph) -> Certificate:
     """
     parts: list[int] = []
     for comp in connected_components(graph):
-        # a connected graph is its own induced subgraph: same ids, same labels
-        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
-        result = _recognize_connected(sub)
+        result = _recognize_connected(induced_subgraph(graph, comp))
         if isinstance(result, ObstructionCertificate):
             return ObstructionCertificate(
                 tuple(comp[i] for i in result.vertices),

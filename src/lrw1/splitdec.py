@@ -20,11 +20,13 @@ star block may instead be given by its kind, centre and vertices alone, and
 distance-hereditary build (`canonical_decomposition_dh`) makes only such
 blocks: a DH graph is totally decomposable, so apart from a seed of at most
 two vertices every block is a clique or a star.  It keeps one record per
-block (kind, centre, member set), so after `replay_pruning` an insertion is
-O(1) amortised and the whole build, its checks included, takes O(n log n)
-time and O(n) memory, independent of the number of edges.  The adjacency-set
-`DecompositionBuilder` serves `refine` and the brute-force oracles, where
-blocks can be prime.
+block (kind, centre, member set), so an insertion is O(1) amortised and the
+whole build, its checks included, takes O(n log n) time and O(n) memory,
+independent of the number of edges.  That holds for a sequence that
+`pruning_sequence` built on the same graph object, which it checked step by
+step as it went; any other sequence is first checked by `replay_pruning`, in
+O(n + m).  The adjacency-set `DecompositionBuilder` serves `refine` and the
+brute-force oracles, where blocks can be prime.
 """
 
 from __future__ import annotations
@@ -428,9 +430,13 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
     Built by replaying the pruning sequence backwards.  Graphs on up to
     three vertices are a single block by definition (splits need two vertices
     on both sides), so the last vertex and the first two re-inserted ones
-    form the seed block.  It is read off the graph: `replay_pruning` has
-    checked every step against the graph, so the graph that re-insertion
-    builds on the vertices placed so far is the subgraph they induce.
+    form the seed block.  It is read off the graph: every step has been
+    checked against the graph, so the graph that re-insertion builds on the
+    vertices placed so far is the subgraph they induce.  A sequence that
+    `pruning_sequence` returned for this very graph object (`seq.graph is
+    graph`) was checked as it was built; any other one, hand-built, altered
+    or proved on another graph, even an equal one, is checked by
+    `replay_pruning` first and raises `InvalidSequence` if a step is wrong.
 
     Every block is a clique or a star, kept as its kind, centre and member
     set; only a seed of at most two vertices is prime and lists its edges.
@@ -441,12 +447,13 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
     fresh block id: v returns in place of h_old and w joins beside it, a
     clique stays a clique and a star keeps its centre, so no repair can
     cascade.  So an insertion is O(1) amortised, builds no edge and updates
-    no member's home, and after `replay_pruning` the build and its checks
-    take O(n log n) time and O(n) memory, however many edges the graph has.
+    no member's home, and the build and its checks take O(n log n) time and
+    O(n) memory, however many edges the graph has; a replay adds O(n + m).
     """
     if seq is None:
         raise NotDH("graph is not distance hereditary")
-    replay_pruning(graph, seq)
+    if seq.graph is not graph:
+        replay_pruning(graph, seq)
     steps = seq.steps[::-1]
     first = {seq.last} | {step.removed for step in steps[:2]}
     seed = {x: graph.adj[x] & first for x in first}
@@ -469,7 +476,7 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
             kind, centre = "star", v
         elif step.kind == "true_twin":
             kind, centre = "clique", None
-        else:  # replay_pruning has rejected every other kind
+        else:  # a checked sequence has no other kind
             kind, centre = "star", h_new
         old_centre = h_old if cell.centre == v else cell.centre  # after markerizing v
         if canonical_violation(kind, centre, h_new, cell.kind, old_centre, h_old):

@@ -127,6 +127,31 @@ def test_induced_rejects_foreign_vertex():
         induced_subgraph(path_graph(3), [0, 7])
 
 
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = net_graph()
+    assert induced_subgraph(g, range(6)) is g
+    assert induced_subgraph(g, [5, 3, 1, 0, 2, 4]) is g
+    assert induced_subgraph(g, [4, 4, 0, 1, 2, 3, 5, 0]) is g
+    empty = Graph(0)
+    assert induced_subgraph(empty, []) is empty
+
+
+def test_induced_on_a_proper_subset_is_a_fresh_graph():
+    g = complete_graph(4)
+    sub = induced_subgraph(g, [0, 1, 2])
+    assert sub is not g and sub == complete_graph(3)
+    single = Graph(1)
+    assert induced_subgraph(single, []) == Graph(0)
+
+
+def test_induced_checks_the_range_before_the_whole_set_shortcut():
+    # n ids, all distinct, one of them out of range: not the whole vertex set
+    with pytest.raises(InvalidVertex):
+        induced_subgraph(path_graph(3), [0, 1, 3])
+    with pytest.raises(InvalidVertex):
+        induced_subgraph(path_graph(3), [-1, 1, 2])
+
+
 @settings(max_examples=60)
 @given(graphs(max_n=8), st.data())
 def test_induced_monotone_via_labels(g, data):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lrw1 import oracle
 from lrw1 import recognizer as recognizer_module
+from lrw1 import splitdec as splitdec_module
 from lrw1.dh import pruning_sequence
 from lrw1.errors import NotApplicable
 from lrw1.gf2 import cutrank_of_ordering
@@ -15,6 +16,8 @@ from lrw1.graph import (
     induced_subgraph,
     is_isomorphic_small,
     local_complement,
+    parse_graph,
+    serialize_graph,
 )
 from lrw1.named import (
     caterpillar_graph,
@@ -351,3 +354,41 @@ def test_accepted_random_subsets_stay_accepted(seed, data):
     subset = data.draw(st.sets(st.integers(0, g.n - 1)))
     sub = induced_subgraph(g, subset)
     assert isinstance(recognize(sub), OrderingCertificate)
+
+
+# -- no whole-graph rebuilds and no replay on the recognise path ----------------------
+
+
+def test_rejecting_and_verifying_a_hole_builds_no_copy_of_it(monkeypatch):
+    # the 2-core, the obstruction and the verifier's re-induction are all
+    # G[V], which is G itself
+    g = parse_graph(serialize_graph(cycle_graph(5000)))
+    orders = []
+    init = Graph.__init__
+
+    def counting_init(self, n, *args, **kwargs):
+        orders.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    cert = recognize(g)
+    assert verify_certificate(g, cert)
+    monkeypatch.undo()
+    assert cert.family == "hole" and cert.hole_length == 5000
+    assert 5000 not in orders
+
+
+def test_recognize_never_replays_its_own_pruning_sequence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay on the recognise path")
+
+    monkeypatch.setattr(splitdec_module, "replay_pruning", refuse)
+    graphs = []
+    for n in range(1, 7):
+        graphs += [g for g in oracle.load_fixture_graphs(n) if len(connected_components(g)) == 1]
+    graphs += [oracle.random_lrw1_graph(10 + seed % 30, seed) for seed in range(50)]
+    graphs += [oracle.random_branching_dh_graph(8 + seed % 10, seed) for seed in range(50)]
+    certs = [recognize(g) for g in graphs]
+    monkeypatch.undo()
+    for g, cert in zip(graphs, certs):
+        assert verify_certificate(g, cert), (g, cert)

@@ -1,15 +1,16 @@
 """Splits, refinement, recomposition, canonical decomposition, split trees."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrw1 import oracle
-from lrw1.dh import pruning_sequence
+from lrw1 import oracle, splitdec
+from lrw1.dh import PruningSequence, PruningStep, pruning_sequence
 from lrw1 import cli
-from lrw1.errors import MalformedDecomposition, NotAPath, NotASplit, NotATreeEdge
+from lrw1.errors import InvalidSequence, MalformedDecomposition, NotAPath, NotASplit, NotATreeEdge
 from lrw1.gf2 import cutrank_of_cut
 from lrw1.graph import Graph, connected_components, serialize_graph
 from lrw1.named import caterpillar_graph, complete_graph, cycle_graph, net_graph, path_graph
@@ -430,3 +431,86 @@ def test_validate_flags_marked_edges_on_a_cycle():
     d = Decomposition(blocks, markers, Graph(2, [(0, 1)]))
     isthmus_issues = [v for v in validate_canonical(d) if v[0] == "marked-edge-not-isthmus"]
     assert isthmus_issues == [("marked-edge-not-isthmus", -4, -3), ("marked-edge-not-isthmus", -2, -1)]
+
+
+# -- which sequences are replayed -----------------------------------------------------
+
+
+def _counting_replays(monkeypatch):
+    calls = []
+    replay = splitdec.replay_pruning
+    monkeypatch.setattr(splitdec, "replay_pruning", lambda g, seq: calls.append(seq) or replay(g, seq))
+    return calls
+
+
+def test_the_pruners_own_sequence_is_not_replayed(monkeypatch):
+    calls = _counting_replays(monkeypatch)
+    for g in [net_graph(), path_graph(6), complete_graph(5), oracle.random_dh_graph(40, 3)]:
+        seq = pruning_sequence(g)
+        assert seq.graph is g
+        canonical_decomposition_dh(g, seq)
+    assert calls == []
+
+
+def test_a_hand_built_copy_of_the_sequence_is_replayed_once(monkeypatch):
+    g = oracle.random_dh_graph(40, 5)
+    seq = pruning_sequence(g)
+    own = canonical_decomposition_dh(g, seq)
+    calls = _counting_replays(monkeypatch)
+    copy = PruningSequence(seq.steps, seq.last)
+    assert copy.graph is None
+    assert canonical_decomposition_dh(g, copy) == own
+    assert calls == [copy]
+
+
+def test_a_sequence_proved_on_an_equal_but_distinct_graph_is_replayed(monkeypatch):
+    g = oracle.random_dh_graph(30, 2)
+    twin = Graph(g.n, g.edges, g.labels)
+    assert twin == g and twin is not g
+    seq = pruning_sequence(twin)
+    calls = _counting_replays(monkeypatch)
+    assert canonical_decomposition_dh(g, seq) == canonical_decomposition_dh(twin, seq)
+    assert calls == [seq]
+
+
+def test_a_tampered_sequence_is_rejected_by_the_build():
+    g = path_graph(5)
+    seq = pruning_sequence(g)
+    last = seq.steps[-1]
+    # the two survivors of the last step are adjacent, so they are no false twins
+    bad = seq.steps[:-1] + (PruningStep(last.removed, "false_twin", last.anchor),)
+    for tampered in [PruningSequence(bad, seq.last), dataclasses.replace(seq, steps=bad)]:
+        assert tampered.graph is None
+        with pytest.raises(InvalidSequence):
+            canonical_decomposition_dh(g, tampered)
+    with pytest.raises(InvalidSequence):
+        canonical_decomposition_dh(g, PruningSequence(seq.steps[:-1], seq.last))
+
+
+def test_the_recorded_graph_is_not_part_of_the_value():
+    for g in [net_graph(), oracle.random_dh_graph(25, 4)]:
+        seq = pruning_sequence(g)
+        reference = oracle.reference_pruning_sequence(g)
+        assert reference.graph is None
+        assert seq == reference and hash(seq) == hash(reference)
+        assert repr(seq) == repr(reference)
+        assert repr(seq) == f"PruningSequence(steps={seq.steps!r}, last={seq.last!r})"
+
+
+def test_decompose_replays_nothing_on_the_golden_inputs(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay on the decompose path")
+
+    monkeypatch.setattr(splitdec, "replay_pruning", refuse)
+    graphs = {
+        "net": net_graph(),
+        "p6": path_graph(6),
+        "k5": complete_graph(5),
+        "cat": caterpillar_graph(3, [2, 0, 1]),
+        "dh30": oracle.random_dh_graph(30, 1),
+    }
+    for name, graph in graphs.items():
+        path = tmp_path / f"{name}.edges"
+        path.write_text(serialize_graph(graph))
+        assert cli.main(["decompose", str(path), "--dot-sd", "-", "--dot-tree", "-"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"decompose_{name}.txt").read_text()
