@@ -173,9 +173,10 @@ def _cmd_decompose(args) -> int:
     if graph.n == 0 or len(connected_components(graph)) != 1:
         print("decompose requires a connected input graph", file=sys.stderr)
         return EXIT_ERROR
-    seq = pruning_sequence(graph)
+    residue: list[int] = []
+    seq = pruning_sequence(graph, residue)
     if seq is None:
-        cert = recognizer.non_dh_certificate(graph)
+        cert = recognizer.non_dh_certificate(graph, residue)
         vs = " ".join(str(graph.labels[v]) for v in cert.vertices)
         print(f"not distance hereditary; obstruction [{cert.family}]: {vs}")
         return EXIT_OBSTRUCTION

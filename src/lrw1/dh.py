@@ -11,20 +11,31 @@ twin buckets from one step to the next and costs O((n + m) log n);
 `oracle.reference_pruning_sequence` rescans the whole graph at every step, in
 O(n(n + m)), and the tests require the two to agree step for step.
 
+When pruning fails, the vertices still live form its residue R: a connected
+induced subgraph with at least 3 vertices and no pendant or twin, hence not
+DH (Bandelt & Mulder, JCTB 41, 1986), of minimum degree 2, so R lies in the
+2-core of every vertex set that contains it.  `pruning_sequence` and
+`is_distance_hereditary` hand R back through an optional output list.
+
 `non_dh_obstruction` makes one ascending pass over the 2-core C and deletes
-each vertex whose removal leaves the rest non-DH.  Each trial is peeled back
-to its 2-core, and the pass stops as soon as the kept set is itself a hole,
-house, gem or domino (`minimal_non_dh_family`), the set the rest of the pass
-would keep.  That is at most |C| + 1 DH tests, so O(n(n + m) log n), and none
-at all when the 2-core is already one of the four, as for a hole.
-`oracle.reference_non_dh_obstruction` restarts at the lowest id after every
-deletion and tries every vertex, up to about n^2 DH tests; the tests require
-the two to return the same vertex tuple.
+each vertex whose removal leaves the rest non-DH.  The residue steers it: a
+vertex outside R is deleted with no test, a vertex of R gets one trial,
+peeled back to its 2-core, whose own residue replaces R when it is non-DH,
+and the pass ends at the first vertex above max(R), or as soon as the kept
+set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
+Only a vertex of the current residue costs a DH test, so a small
+obstruction in a large 2-core costs about |R| tests, and never more than
+|C| + 1 in all, O(n(n + m) log n).  There is none at all when the 2-core is
+one of the four, as for a hole, or when a residue handed in lies on the
+highest ids of C.  `oracle.reference_non_dh_obstruction` restarts at the
+lowest id after every deletion and tries every vertex, up to about n^2 DH
+tests; the tests require the two to return the same vertex tuple.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
@@ -64,8 +75,13 @@ class PruningSequence:
 _KEY_SEED = 20010101
 
 
-def pruning_sequence(graph: Graph) -> PruningSequence | None:
+def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningSequence | None:
     """Greedy pendant/twin elimination; None when no elimination exists.
+
+    On failure the vertices still live, the residue, are appended to
+    `residue` when a list is given, in ascending order; on success it is left
+    as it is.  No live vertex is then a pendant or a twin, so they induce a
+    connected graph of minimum degree 2 that is not DH.
 
     Succeeding is equivalent to the graph being distance hereditary, because
     induced subgraphs of distance-hereditary graphs always keep a pendant or
@@ -166,6 +182,8 @@ def pruning_sequence(graph: Graph) -> PruningSequence | None:
     for _ in range(n - 1):
         while True:
             if not queue:
+                if residue is not None:
+                    residue.extend(v for v in range(n) if alive[v])
                 return None
             u = heappop(queue)
             queued[u] = False
@@ -233,10 +251,19 @@ def replay_pruning(graph: Graph, seq: PruningSequence) -> None:
         raise InvalidSequence("sequence does not end at the recorded last vertex")
 
 
-def is_distance_hereditary(graph: Graph) -> bool:
-    """True iff every connected component admits a pruning sequence."""
-    comps = connected_components(graph)
-    return all(pruning_sequence(induced_subgraph(graph, comp)) is not None for comp in comps)
+def is_distance_hereditary(graph: Graph, residue: list[int] | None = None) -> bool:
+    """True iff every connected component admits a pruning sequence.
+
+    When one does not, the residue of the first such component, in `graph`'s
+    ids, is appended to `residue` when a list is given.
+    """
+    for comp in connected_components(graph):
+        live: list[int] = []
+        if pruning_sequence(induced_subgraph(graph, comp), live) is None:
+            if residue is not None:
+                residue.extend(comp[i] for i in live)
+            return False
+    return True
 
 
 # the minimal non-DH graphs other than holes, in the order they are tried;
@@ -262,12 +289,12 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
     return None
 
 
-def non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
+def non_dh_obstruction(graph: Graph, residue: Collection[int] | None = None) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
 
     Greedy deletion in one ascending pass over the 2-core C of the graph,
     what remains after repeatedly deleting vertices of degree at most 1: drop
-    each vertex whose removal keeps the kept set non-DH.  The result is one
+    each vertex whose removal keeps the kept set K non-DH.  The result is one
     of the classical minimal obstructions (house, gem, domino, or a hole).
     It is the same tuple as restarting at the lowest id after every deletion
     over all vertices (`oracle.reference_non_dh_obstruction`), for two
@@ -280,44 +307,64 @@ def non_dh_obstruction(graph: Graph) -> tuple[int, ...]:
       2-core of G[K ∩ C], so every vertex outside C would be deleted and no
       decision on a vertex of C depends on them.
 
-    The pass does that work with three shortcuts, none of which changes the
-    tuple:
+    `residue` is a vertex set R inside C that induces a non-DH graph, such
+    as the residue of a failed `pruning_sequence` of the graph; without one,
+    R is the residue of the one DH test on G[C], which raises `AlreadyDH`
+    when G[C] is DH.  C is classified before that test, so a hole, or a C
+    that is already a house, gem or domino, is returned with no DH test.
+    The pass keeps R inside K and does the plain pass's work with four
+    shortcuts, none of which changes the tuple:
 
-    - **Re-peel.**  The kept set K is always a 2-core.  A trial for v is the
-      2-core of K - {v}, which is also the 2-core of the plain pass's kept
-      set minus v; if it is non-DH it becomes K, and the vertices peeled out
-      of it are skipped, since the plain pass deletes each of them: its
-      2-core, hence its DH status, does not change without them.
-    - **Stop rule.**  Once G[K] is a minimal non-DH graph M (a hole, house,
-      gem or domino, by `minimal_non_dh_family`), the plain pass would end
-      with exactly M, so the pass returns it.  A later vertex outside M is
-      deleted, as the rest still contains M; a
-      later j in M is kept, as the 2-core of K - {j} lies in M - {j},
-      which is DH because M is minimal; and an earlier kept vertex lies in
-      every obstruction inside K, so in M.  C is classified before any test,
-      so a hole costs no DH test at all.
-    - **One DH test on G[C]**, not on the whole graph, raises `AlreadyDH`
-      when the stop rule has not fired on C.
+    - **Skip.**  A vertex outside R is deleted with no test, since the rest
+      of K still contains R and so is non-DH.
+    - **Re-peel.**  A vertex v of R gets one trial, the 2-core of K - {v},
+      which is also the 2-core of the plain pass's kept set minus v, since
+      2-core(X - v) = 2-core(2-core(X) - v).  If it is non-DH it becomes K
+      and its own residue becomes R; the vertices peeled out of it are
+      skipped, since the plain pass deletes each of them: its 2-core, hence
+      its DH status, does not change without them.
+    - **Break.**  At the first vertex above max(R) the answer is R.  A
+      vertex kept so far was kept because K minus it was DH, so it lies in
+      every non-DH set inside K, and so in R; every later vertex lies
+      outside R and is deleted, as the rest still contains R.
+    - **Stop rule.**  Whenever K = R, G[R] is classified once; if it is a
+      minimal non-DH graph M (`minimal_non_dh_family`), the plain pass would
+      end with exactly M, so the pass returns it.  A later j in M is kept,
+      as the 2-core of K - {j} lies in M - {j}, which is DH because M is
+      minimal, and every other vertex is settled as under Break.
 
-    That is still at most |C| + 1 DH tests, each on a 2-core, so
-    O(n(n + m) log n) in the worst case, which a small obstruction inside a
-    large 2-core still reaches.  A hole, or a 2-core that is already one of
-    the four families, costs O(n + m) and no DH test.
+    Only a vertex of the current R costs a DH test, so a small obstruction
+    inside a large 2-core costs about |R| tests, not |C|.  The worst case
+    is still |C| + 1 DH tests, each on a 2-core, so O(n(n + m) log n), as
+    when R is most of a prime 2-core.
     """
     keep = two_core(graph)
     sub = induced_subgraph(graph, keep)
     if minimal_non_dh_family(sub) is not None:
         return tuple(keep)
-    if is_distance_hereditary(sub):
-        raise AlreadyDH("graph is distance hereditary")
+    if not residue:
+        found: list[int] = []
+        if is_distance_hereditary(sub, found):
+            raise AlreadyDH("graph is distance hereditary")
+        residue = [keep[i] for i in found]
+    live = set(residue)
+    top = max(live)
     kept = set(keep)
     for v in keep:
+        if v > top:
+            break
         if v not in kept:
             continue
-        trial = two_core(graph, kept - {v})
-        sub = induced_subgraph(graph, trial)
-        if not is_distance_hereditary(sub):
-            if minimal_non_dh_family(sub) is not None:
-                return tuple(trial)
+        if v in live:
+            trial = two_core(graph, kept - {v})
+            found = []
+            if is_distance_hereditary(induced_subgraph(graph, trial), found):
+                continue
             kept = set(trial)
-    return tuple(sorted(kept))
+            live = {trial[i] for i in found}
+            top = max(live)
+        else:
+            kept.discard(v)
+        if len(kept) == len(live) and minimal_non_dh_family(induced_subgraph(graph, live)) is not None:
+            break
+    return tuple(sorted(live))

@@ -11,6 +11,7 @@ distance-hereditary graph whose split tree is a star with three leaves.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from . import oracle
@@ -273,9 +274,10 @@ def recognize(graph: Graph) -> Certificate:
 def _recognize_connected(graph: Graph):
     if graph.n <= 2:
         return tuple(range(graph.n))
-    seq = pruning_sequence(graph)
+    residue: list[int] = []
+    seq = pruning_sequence(graph, residue)
     if seq is None:
-        return non_dh_certificate(graph)
+        return non_dh_certificate(graph, residue)
     decomposition = canonical_decomposition_dh(graph, seq)
     tree = split_tree(decomposition)
     if tree.is_path():
@@ -287,9 +289,13 @@ def _recognize_connected(graph: Graph):
     )
 
 
-def non_dh_certificate(graph: Graph) -> ObstructionCertificate:
-    """The minimal obstruction of a graph known not to be distance hereditary."""
-    vs = non_dh_obstruction(graph)
+def non_dh_certificate(graph: Graph, residue: Collection[int] | None = None) -> ObstructionCertificate:
+    """The minimal obstruction of a graph known not to be distance hereditary.
+
+    `residue`, the live vertices of the graph's failed `pruning_sequence`,
+    spares `non_dh_obstruction` a second pruning of the graph's 2-core.
+    """
+    vs = non_dh_obstruction(graph, residue)
     found = minimal_non_dh_family(induced_subgraph(graph, vs))
     if found is None:
         raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")

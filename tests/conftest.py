@@ -6,6 +6,7 @@ import itertools
 
 from hypothesis import strategies as st
 
+from lrw1 import oracle
 from lrw1.graph import Graph
 
 
@@ -34,3 +35,13 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
 def relabelled_edge_set(graph: Graph) -> set[frozenset]:
     """Edges expressed in label space, for comparing induced subgraphs."""
     return {frozenset((graph.labels[u], graph.labels[v])) for u, v in graph.edges}
+
+
+def hung_c5(n: int, c5_ids_first: bool) -> Graph:
+    """`random_dh_graph(n, 1)` with a C5 joined to it by one edge, the C5 on
+    ids 0..4 or on the highest ids n..n+4."""
+    base = oracle.random_dh_graph(n, 1)
+    shift, first = (5, 0) if c5_ids_first else (0, n)
+    edges = [(u + shift, v + shift) for u, v in base.edges]
+    edges += [(first + i, first + (i + 1) % 5) for i in range(5)] + [(shift, first)]
+    return Graph(n + 5, edges)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from lrw1 import cli
+from conftest import hung_c5
+
+from lrw1 import cli, dh
 from lrw1.errors import ParseError
 from lrw1.graph import parse_graph, serialize_graph
 from lrw1.named import caterpillar_graph, cycle_graph, house_graph, net_graph, path_graph
@@ -143,6 +145,17 @@ def test_decompose_house_exit_1(tmp_path, capsys):
     path = _write(tmp_path, "house.edges", serialize_graph(house_graph()))
     assert cli.main(["decompose", path]) == 1
     assert "not distance hereditary" in capsys.readouterr().out
+
+
+def test_decompose_prunes_a_hung_c5_once(monkeypatch, tmp_path, capsys):
+    # the residue of decompose's own failed pruning is the C5, on the highest
+    # ids, so the obstruction search needs no DH test at all
+    path = _write(tmp_path, "hung.edges", serialize_graph(hung_c5(40, False)))
+    tested = []
+    monkeypatch.setattr(dh, "is_distance_hereditary", lambda h, residue=None: tested.append(h.n))
+    assert cli.main(["decompose", path]) == 1
+    assert tested == []
+    assert capsys.readouterr().out == "not distance hereditary; obstruction [hole]: 40 41 42 43 44\n"
 
 
 def test_decompose_disconnected_exit_2(tmp_path, capsys):

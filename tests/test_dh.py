@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hung_c5
+
 from lrw1 import dh, oracle
 from lrw1.dh import (
     PruningStep,
@@ -30,6 +32,7 @@ from lrw1.named import (
     octahedron_graph,
     path_graph,
 )
+from lrw1.recognizer import recognize
 
 
 def test_k1_has_empty_sequence():
@@ -279,24 +282,100 @@ def _c5_path_k4(k4_ids_first):
     return Graph(11, edges)
 
 
+def _record_dh_tests(monkeypatch):
+    tested = []
+    monkeypatch.setattr(dh, "is_distance_hereditary",
+                        lambda h, residue=None: tested.append(h.n) or is_distance_hereditary(h, residue))
+    return tested
+
+
 @pytest.mark.parametrize("k4_ids_first, sizes", [
-    # G[C]; the C5 vertices, each leaving the K4; the path vertex 5, leaving
-    # the C5 and the K4 (6 is peeled with it); 7, leaving the C5 and a
-    # triangle; 8, leaving the C5, where the stop rule fires
-    (False, [11, 4, 4, 4, 4, 4, 9, 8, 5]),
-    # G[C]; vertex 0 of the K4, leaving a triangle, the path and the C5;
-    # vertex 1, whose trial peels everything but the C5: the stop rule fires
-    (True, [11, 10, 5]),
+    # G[C], whose residue is the C5; the C5 vertices, each leaving the K4;
+    # then 5 lies above the residue, which is the answer
+    (False, [11, 4, 4, 4, 4, 4]),
+    # G[C], whose residue is the C5 on 6..10; 0..5 lie outside it and are
+    # deleted with no test, which leaves the C5: the stop rule fires
+    (True, [11]),
 ])
 def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
     g = _c5_path_k4(k4_ids_first)
-    tested = []
-    monkeypatch.setattr(dh, "is_distance_hereditary", lambda h: tested.append(h.n) or is_distance_hereditary(h))
+    tested = _record_dh_tests(monkeypatch)
     vs = non_dh_obstruction(g)
     assert tested == sizes
     monkeypatch.undo()
     assert vs == (tuple(range(6, 11)) if k4_ids_first else tuple(range(5)))
     _assert_obstruction_matches_reference(g)
+
+
+@pytest.mark.parametrize("k4_ids_first, sizes", [(False, [4, 4, 4, 4, 4]), (True, [])])
+def test_recognize_hands_its_residue_to_the_search(monkeypatch, k4_ids_first, sizes):
+    # the same trials as above, less the test of G[C]: the recogniser's own
+    # failed pruning supplies the residue
+    g = _c5_path_k4(k4_ids_first)
+    tested = _record_dh_tests(monkeypatch)
+    cert = recognize(g)
+    assert tested == sizes
+    assert cert.vertices == (tuple(range(6, 11)) if k4_ids_first else tuple(range(5)))
+
+
+@pytest.mark.parametrize("c5_ids_first, sizes", [(False, []), (True, [329] * 5)])
+def test_hung_c5_costs_no_test_per_2_core_vertex(monkeypatch, c5_ids_first, sizes):
+    # a 2-core of 334 vertices: one trial per C5 vertex when the C5 comes
+    # first, and none when all 329 others lie below the residue
+    g = hung_c5(400, c5_ids_first)
+    tested = _record_dh_tests(monkeypatch)
+    cert = recognize(g)
+    assert tested == sizes
+    assert cert.family == "hole"
+    assert cert.vertices == (tuple(range(5)) if c5_ids_first else tuple(range(400, 405)))
+
+
+def _assert_residue(g, residue):
+    sub = induced_subgraph(g, residue)
+    assert residue == sorted(set(residue))
+    assert len(connected_components(sub)) == 1 and sub.n >= 5
+    assert min(map(len, sub.adj)) >= 2
+    assert not any(sub.adj[u] - {v} == sub.adj[v] - {u} for u in range(sub.n) for v in range(u + 1, sub.n))
+    # the definition-level test is guarded to 8 vertices; past it, the
+    # rescanning reference pruner stands in for it
+    if sub.n <= 8:
+        assert not oracle.is_dh_by_distances(sub)
+    else:
+        assert oracle.reference_pruning_sequence(sub) is None
+    assert set(residue) <= set(two_core(g))
+
+
+def _check_residues(g):
+    for comp in connected_components(g):
+        h = induced_subgraph(g, comp)
+        residue = []
+        if pruning_sequence(h, residue) is None:
+            _assert_residue(h, residue)
+            assert non_dh_obstruction(h, residue) == non_dh_obstruction(h)
+        else:
+            assert residue == []
+    residue = []
+    if is_distance_hereditary(g, residue):
+        assert residue == []
+    else:
+        _assert_residue(g, residue)
+        assert any(set(residue) <= set(comp) for comp in connected_components(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.floats(0.05, 0.6), st.integers(0, 10**6))
+def test_residue_contract_on_random_graphs(n, density, seed):
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    _check_residues(Graph(n, [p for p in pairs if rng.random() < density]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 20), st.integers(0, 10**6))
+def test_residue_contract_on_grown_obstructions(data, n, seed):
+    g = _relabelled(data.draw, data.draw(_grown_obstructions(30)))
+    _check_residues(g)
+    _check_residues(disjoint_union(*data.draw(st.permutations([g, oracle.random_dh_graph(n, seed)]))))
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), octahedron_graph()]
