@@ -10,6 +10,7 @@ distance-hereditary graph whose split tree is a star with three leaves.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -18,12 +19,11 @@ from . import oracle
 from .dh import minimal_non_dh_family, non_dh_obstruction, pruning_sequence
 from .errors import InternalInvariantViolation, NotApplicable, NotAPath, NotAPermutation
 from .gf2 import cutrank_of_ordering
-from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, canonical_form
+from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small
 from .splitdec import (
     Decomposition,
     SplitTree,
     canonical_decomposition_dh,
-    contract_blocks,
     side_vertices,
     split_tree,
 )
@@ -91,77 +91,68 @@ def ordering_from_path_tree(tree: SplitTree, decomposition: Decomposition) -> tu
     return tuple(order)
 
 
-# -- the obstruction catalog ----------------------------------------------------------
+# -- dh_star3 obstructions: one hub and leg table ------------------------------------------
+
+# A dh_star3 obstruction's split tree is a hub block with three leaf blocks,
+# its legs.  A leg holds two original vertices a < b and the marker towards
+# the hub; its frontier is those of a and b that see that marker, which are
+# those with a neighbour beyond the leg.  The leg's shape follows from how
+# many of a and b are on the frontier and whether they are adjacent:
+# a triangle with the marker (K3), a star centred at the marker (Sm), or a
+# star centred at the frontier vertex (Sr).  No other pair is a leg.
+_LEG_SHAPES = {"K3": (2, True), "Sm": (2, False), "Sr": (1, True)}
+
+# For each hub kind, the shapes each of its three legs admits: a leg that
+# would merge with the hub (a K3 on a clique, or two stars joined centre to
+# leaf) is left out, so every choice is a canonical star with three leaves.
+# A star centred at a marker points to its leg 0.
+_HUB_LEGS = {
+    "clique": (("Sm", "Sr"),) * 3,
+    "marker star": (("K3", "Sm"), ("K3", "Sr"), ("K3", "Sr")),
+    "vertex star": (("K3", "Sr"),) * 3,
+}
 
 _CATALOG: list[Graph] | None = None
 
 
-def _leg_block(kind: str, marker: int, a: int, b: int) -> dict[int, set[int]]:
-    if kind == "K3":
-        return {marker: {a, b}, a: {marker, b}, b: {marker, a}}
-    if kind == "Sm":  # star centred at the marker
-        return {marker: {a, b}, a: {marker}, b: {marker}}
-    if kind == "Sr":  # star centred at the first original vertex
-        return {a: {marker, b}, marker: {a}, b: {a}}
-    raise ValueError(kind)
+def _star3_graph(hub: str, legs: tuple[str, ...]) -> Graph:
+    """The obstruction with this hub kind and these leg shapes.
 
-
-def _assemble(centre: dict[int, set[int]], legs: tuple[str, str, str]) -> Graph:
-    from .splitdec import Block
-
-    blocks = []
-    adjs = [centre]
-    pairs = []
-    for i, kind in enumerate(legs):
-        hub_marker = -(i + 1)
-        leg_marker = -(i + 4)
-        adjs.append(_leg_block(kind, leg_marker, 2 * i, 2 * i + 1))
-        pairs.append((hub_marker, leg_marker))
-    for idx, adj in enumerate(adjs):
-        edges = tuple(sorted({(min(u, v), max(u, v)) for u in adj for v in adj[u]}))
-        blocks.append(Block(idx, tuple(sorted(adj)), edges, "prime", None))
-    joined = contract_blocks(blocks, pairs)
-    n = len(joined)
-    edges = [(u, v) for u in joined for v in joined[u] if u < v]
-    return Graph(n, edges)
+    Leg i holds vertices 2i < 2i + 1, with 2i on its frontier, and a vertex
+    star's centre is vertex 6.  The hub joins the frontiers of two legs
+    completely when its markers towards them are adjacent.
+    """
+    frontiers, edges = [], []
+    for i, shape in enumerate(legs):
+        count, adjacent = _LEG_SHAPES[shape]
+        frontiers.append((2 * i, 2 * i + 1)[:count])
+        if adjacent:
+            edges.append((2 * i, 2 * i + 1))
+    if hub == "vertex star":
+        return Graph(7, edges + [(x, 6) for f in frontiers for x in f])
+    joined = ((0, 1), (0, 2), (1, 2)) if hub == "clique" else ((0, 1), (0, 2))
+    return Graph(6, edges + [(x, y) for i, j in joined for x in frontiers[i] for y in frontiers[j]])
 
 
 def dh_obstruction_catalog() -> list[Graph]:
     """Distance-hereditary induced obstructions for linear rank-width 1.
 
-    Every member has a star-with-three-leaves split tree.  The hub block is a
-    triangle of markers, a 3-vertex star centred at a marker, or a 4-vertex
-    star centred at an original vertex; each leg block has three vertices and
-    is a triangle or a star, oriented so the whole system stays canonical.
-    The list is deduplicated up to isomorphism and its order is stable.
+    Every member has a star-with-three-leaves split tree, and the members are
+    read off `_HUB_LEGS`: for each hub kind (a triangle of markers, a 3-vertex
+    star centred at a marker, or a 4-vertex star centred at an original
+    vertex) every choice of admitted leg shapes, up to swapping legs that
+    admit the same shapes.  No two members are isomorphic, and the order is
+    stable: an obstruction certificate names its member by index.
     """
     global _CATALOG
-    if _CATALOG is not None:
-        return list(_CATALOG)
-    combos: list[Graph] = []
-    h1, h2, h3 = -1, -2, -3
-    # hub = triangle of markers: legs are stars, either orientation
-    centre = {h1: {h2, h3}, h2: {h1, h3}, h3: {h1, h2}}
-    for legs in itertools.combinations_with_replacement(("Sm", "Sr"), 3):
-        combos.append(_assemble(centre, legs))
-    # hub = star centred at the marker towards leg 1
-    centre = {h1: {h2, h3}, h2: {h1}, h3: {h1}}
-    for first in ("K3", "Sm"):
-        for rest in itertools.combinations_with_replacement(("K3", "Sr"), 2):
-            combos.append(_assemble(centre, (first, *rest)))
-    # hub = 4-vertex star centred at an original vertex
-    centre = {6: {h1, h2, h3}, h1: {6}, h2: {6}, h3: {6}}
-    for legs in itertools.combinations_with_replacement(("K3", "Sr"), 3):
-        combos.append(_assemble(centre, legs))
-    seen = set()
-    out = []
-    for g in combos:
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    _CATALOG = out
-    return list(out)
+    if _CATALOG is None:
+        _CATALOG = []
+        for hub, admitted in _HUB_LEGS.items():
+            runs = [(shapes, len(list(group))) for shapes, group in itertools.groupby(admitted)]
+            choices = (itertools.combinations_with_replacement(shapes, k) for shapes, k in runs)
+            for parts in itertools.product(*choices):
+                _CATALOG.append(_star3_graph(hub, sum(parts, ())))
+    return list(_CATALOG)
 
 
 def _match_catalog(graph: Graph) -> int:
@@ -171,34 +162,34 @@ def _match_catalog(graph: Graph) -> int:
     raise InternalInvariantViolation("extracted obstruction matches no catalog member")
 
 
-# -- obstruction extraction ------------------------------------------------------------
+def _first_pair(
+    graph: Graph, side: set[int], frontier: set[int], allowed: tuple[str, ...]
+) -> tuple[int, int] | None:
+    """The lexicographically first pair a < b in `side` whose leg shape is in
+    `allowed`, or None.
 
-
-def _pair_case_clique_hub(graph: Graph, side: list[int], frontier: set[int]):
-    # two non-adjacent frontier vertices, or an edge with exactly one endpoint
-    # on the frontier (legs of a clique hub must not look like cliques)
-    for a, b in itertools.combinations(side, 2):
-        adjacent = b in graph.adj[a]
-        if not adjacent and a in frontier and b in frontier:
-            return a, b
-        if adjacent and ((a in frontier) != (b in frontier)):
-            return a, b
-    return None
-
-
-def _pair_frontier(graph: Graph, side: list[int], frontier: set[int]):
-    # any two frontier vertices; their mutual adjacency decides the leg shape
-    for a, b in itertools.combinations(side, 2):
-        if a in frontier and b in frontier:
-            return a, b
-    return None
-
-
-def _pair_outward_edge(graph: Graph, side: list[int], frontier: set[int]):
-    # an edge with at least one endpoint on the frontier
-    for a, b in itertools.combinations(side, 2):
-        if b in graph.adj[a] and (a in frontier or b in frontier):
-            return a, b
+    For each a in ascending order, an adjacent b is looked for among a's
+    neighbours, and a non-adjacent one (shape Sm) is the first frontier
+    vertex above a that a does not see, found by a bisect and at most deg(a)
+    skips.  The walk costs O(|side| + edges at the side) beyond the sorts.
+    """
+    keys = {_LEG_SHAPES[shape] for shape in allowed}
+    sorted_frontier = sorted(frontier)
+    for a in sorted(side):
+        nbs = graph.adj[a]
+        a_on = a in frontier
+        best = min(
+            (b for b in nbs if b > a and b in side and (a_on + (b in frontier), True) in keys),
+            default=None,
+        )
+        if a_on and (2, False) in keys:
+            i = bisect.bisect_right(sorted_frontier, a)
+            while i < len(sorted_frontier) and sorted_frontier[i] in nbs:
+                i += 1
+            if i < len(sorted_frontier) and (best is None or sorted_frontier[i] < best):
+                best = sorted_frontier[i]
+        if best is not None:
+            return a, best
     return None
 
 
@@ -207,37 +198,38 @@ def extract_lrw1_obstruction(
 ) -> tuple[int, ...]:
     """Minimal obstruction around a split-tree node of degree >= 3.
 
-    Two vertices are chosen on each of three sides of the node (plus the hub
-    centre when it is an original vertex), so the induced subgraph has a
-    star-with-three-leaves split tree.  Pair scans are lexicographic.  No
-    brute-force check is made: the caller matches the result against the
-    obstruction catalog, whose members are proven minimal obstructions.
+    The node is the hub.  Two vertices are chosen on each of three sides of
+    it (plus the hub centre when it is an original vertex), so the induced
+    subgraph has a star-with-three-leaves split tree.  Each side's pair is
+    the lexicographically first one whose leg shape the hub admits, as
+    `_HUB_LEGS` says, the same table the catalog is built from; finding it
+    costs time linear in the side and its edges.  No brute-force check is
+    made: the caller matches the result against the obstruction catalog,
+    whose members are proven minimal obstructions.
     """
-    if tree.degree(node) < 3:
-        raise NotApplicable(f"node {node} has degree {tree.degree(node)}")
+    try:
+        degree = tree.degree(node)
+    except KeyError:
+        raise NotApplicable(f"{node} is not a split-tree node") from None
+    if degree < 3:
+        raise NotApplicable(f"node {node} has degree {degree}")
     hub = decomposition.block(node)
     nbs = sorted(tree.neighbours(node))
-    extra: tuple[int, ...] = ()
+    chosen: list[int] = []
     if hub.kind == "clique":
-        legs = nbs[:3]
-        rules = [_pair_case_clique_hub] * 3
+        kind, legs = "clique", nbs[:3]
     elif hub.kind == "star" and hub.centre is not None and hub.centre < 0:
-        partner = decomposition.partner_of(hub.centre)
-        v1 = decomposition.home_of(partner)
-        rest = [x for x in nbs if x != v1][:2]
-        legs = [v1, *rest]
-        rules = [_pair_frontier, _pair_outward_edge, _pair_outward_edge]
+        v1 = decomposition.home_of(decomposition.partner_of(hub.centre))
+        kind, legs = "marker star", [v1, *[x for x in nbs if x != v1][:2]]
     elif hub.kind == "star":
-        legs = nbs[:3]
-        rules = [_pair_outward_edge] * 3
-        extra = (hub.centre,)
+        kind, legs = "vertex star", nbs[:3]
+        chosen.append(hub.centre)
     else:
         raise InternalInvariantViolation("hub block of a DH graph is neither clique nor star")
-    chosen: list[int] = list(extra)
-    for leg, rule in zip(legs, rules):
+    for leg, allowed in zip(legs, _HUB_LEGS[kind]):
         side = set(side_vertices(tree, leg, node))
         frontier = {x for x in side if graph.adj[x] - side}
-        pair = rule(graph, sorted(side), frontier)
+        pair = _first_pair(graph, side, frontier, allowed)
         if pair is None:
             raise InternalInvariantViolation(f"no admissible pair on side of node {leg}")
         chosen.extend(pair)

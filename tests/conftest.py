@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lrw1 import oracle
 from lrw1.graph import Graph
+from lrw1.named import spider_graph
 
 
 @st.composite
@@ -45,3 +46,12 @@ def hung_c5(n: int, c5_ids_first: bool) -> Graph:
     edges = [(u + shift, v + shift) for u, v in base.edges]
     edges += [(first + i, first + (i + 1) % 5) for i in range(5)] + [(shift, first)]
     return Graph(n + 5, edges)
+
+
+def reversed_spider(leg_length: int) -> Graph:
+    """`spider_graph(3, leg_length)` with the centre as 0 and each leg's ids
+    descending outward, so the vertex next to the centre is its leg's largest."""
+    def relabel(v: int) -> int:
+        return v and v + leg_length - 1 - 2 * ((v - 1) % leg_length)
+
+    return Graph(3 * leg_length + 1, [(relabel(u), relabel(v)) for u, v in spider_graph(3, leg_length).edges])

@@ -1,9 +1,12 @@
 """The recognizer, its certificates, the obstruction catalog and the verifier."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reversed_spider
 from lrw1 import oracle
 from lrw1 import recognizer as recognizer_module
 from lrw1 import splitdec as splitdec_module
@@ -18,6 +21,7 @@ from lrw1.graph import (
     local_complement,
     parse_graph,
     serialize_graph,
+    to_graph6,
 )
 from lrw1.named import (
     caterpillar_graph,
@@ -41,7 +45,7 @@ from lrw1.recognizer import (
     recognize,
     verify_certificate,
 )
-from lrw1.splitdec import canonical_decomposition_dh, split_tree
+from lrw1.splitdec import canonical_decomposition_dh, side_vertices, split_tree
 
 
 def _decompose(graph):
@@ -162,6 +166,53 @@ def test_extraction_rejects_low_degree_node():
         extract_lrw1_obstruction(g, t, d, t.nodes[0].id)
 
 
+def test_extraction_rejects_a_node_outside_the_tree():
+    g = net_graph()
+    d, t = _decompose(g)
+    with pytest.raises(NotApplicable):
+        extract_lrw1_obstruction(g, t, d, max(n.id for n in t.nodes) + 1)
+
+
+def _exhaustive_first_pair(graph, side, allowed):
+    # the definition: the least pair a < b of the side whose leg shape is
+    # admitted, where K3 is two adjacent frontier vertices, Sm two
+    # non-adjacent ones, and Sr an edge with exactly one frontier end
+    frontier = {x for x in side if graph.adj[x] - side}
+
+    def shape(a, b):
+        adjacent = b in graph.adj[a]
+        if a in frontier and b in frontier:
+            return "K3" if adjacent else "Sm"
+        return "Sr" if adjacent and (a in frontier or b in frontier) else None
+
+    return min((p for p in itertools.combinations(sorted(side), 2) if shape(*p) in allowed), default=None)
+
+
+def test_leg_pairs_are_the_first_admissible_pairs():
+    graphs = [oracle.random_branching_dh_graph(8 + seed % 12, seed) for seed in range(100)]
+    graphs += [reversed_spider(leg_length) for leg_length in range(2, 41)]
+    for n in range(4, 8):
+        graphs += [g for g in oracle.load_fixture_graphs(n) if len(connected_components(g)) == 1]
+    admitted_sets = {allowed for legs in recognizer_module._HUB_LEGS.values() for allowed in legs}
+    hubs = 0
+    for g in graphs:
+        seq = pruning_sequence(g)
+        if seq is None:
+            continue
+        t = split_tree(canonical_decomposition_dh(g, seq))
+        if t.is_path():
+            continue
+        hubs += 1
+        hub = min(n.id for n in t.nodes if t.degree(n.id) >= 3)
+        for leg in t.neighbours(hub):
+            side = set(side_vertices(t, leg, hub))
+            frontier = {x for x in side if g.adj[x] - side}
+            for allowed in admitted_sets:
+                expected = _exhaustive_first_pair(g, side, allowed)
+                assert recognizer_module._first_pair(g, side, frontier, allowed) == expected, (g, leg, allowed)
+    assert hubs == 98 + 100 + 39  # fixtures, branching DH graphs, spiders
+
+
 def test_recognize_runs_no_brute_force(monkeypatch):
     # a catalog match proves a DH rejection, so recognition needs neither the
     # exact-width oracle nor the verifier, and matches the catalog once
@@ -224,6 +275,14 @@ def test_catalog_is_duplicate_free():
     from lrw1.graph import canonical_form
 
     assert len({canonical_form(m) for m in catalog}) == len(catalog)
+
+
+def test_catalog_order_is_pinned():
+    # a dh_star3 certificate names its member by index, so the order is output
+    assert [to_graph6(m) for m in dh_obstruction_catalog()] == [
+        "E]~o", "E]{G", "EXwG", "EpgG", "E~rG", "E~oG", "ExoG",
+        "E^rG", "E^oG", "EXoG", "F`?Nw", "F`?No", "F`?NO", "F`?LO",
+    ]
 
 
 def test_catalog_members_extract_themselves():
