@@ -6,8 +6,12 @@ recorded elimination doubles as a replayable certificate.
 
 `pruning_sequence` always deletes the smallest removable vertex id, as a
 pendant when it has degree 1, else as the twin of its smallest partner, so
-the sequence depends on the graph alone.  It keeps its neighbourhood keys and
-twin buckets from one step to the next and costs O((n + m) log n);
+the sequence depends on the graph alone.  It works on twin classes, maximal
+sets of pairwise true or pairwise false twins.  Deleting x creates a new
+twin pair only at the step's anchor, and only when x leaves no twin behind
+(the lemma is proved in its docstring), so deleting a twin whose class
+keeps two members touches nothing else, and at most the anchor's class is
+looked up again.  It costs O(m + n log n);
 `oracle.reference_pruning_sequence` rescans the whole graph at every step, in
 O(n(n + m)), and the tests require the two to agree step for step.
 
@@ -25,7 +29,7 @@ and the pass ends at the first vertex above max(R), or as soon as the kept
 set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
 Only a vertex of the current residue costs a DH test, so a small
 obstruction in a large 2-core costs about |R| tests, and never more than
-|C| + 1 in all, O(n(n + m) log n).  There is none at all when the 2-core is
+|C| + 1 in all, O(n(m + n log n)).  There is none at all when the 2-core is
 one of the four, as for a hole, or when a residue handed in lies on the
 highest ids of C.  `oracle.reference_non_dh_obstruction` restarts at the
 lowest id after every deletion and tries every vertex, up to about n^2 DH
@@ -75,6 +79,45 @@ class PruningSequence:
 _KEY_SEED = 20010101
 
 
+def _twin_classes(adj: tuple[frozenset[int], ...], code: list[int], key: list[int]) -> tuple[list[int], bytearray]:
+    """The twin classes of a graph: each vertex's class, named by its smallest
+    member, and a flag per class that is set when it is a true class.
+
+    `key[v]` is the XOR of `code` over v's neighbours.  Vertices are grouped
+    by open key, for false twins, then by closed key, for true twins; a vertex
+    whose key is already taken by a vertex it is not a twin of is grouped by
+    its exact neighbourhood instead, so a key collision costs time, never a
+    wrong class.  No vertex has twins of both kinds: if u ~ v were true twins
+    and u ~ w false twins, w would be adjacent to v, hence to u.
+    """
+    n = len(adj)
+    cls = list(range(n))
+    true = bytearray(n)
+    for closed in (0, 1):
+        first: dict[int, int] = {}
+        exact: dict[frozenset[int], int] = {}
+        for v in range(n):
+            if cls[v] != v:
+                continue
+            nb = adj[v]
+            r = first.setdefault(key[v] ^ code[v] if closed else key[v], v)
+            # with equal degrees, N(r) - N(v) = {v} says N[r] = N[v]
+            if r != v and not (len(adj[r]) == len(nb) and adj[r] - nb == {v} if closed else adj[r] == nb):
+                r = exact.setdefault(nb | {v} if closed else nb, v)
+            if r != v:
+                cls[v] = r
+                true[r] = closed
+    return cls, true
+
+
+def _unfile(index: dict[int, list[int]], k: int, c: int) -> None:
+    bucket = index[k]
+    if len(bucket) == 1:
+        del index[k]
+    else:
+        bucket.remove(c)
+
+
 def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningSequence | None:
     """Greedy pendant/twin elimination; None when no elimination exists.
 
@@ -88,131 +131,221 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     twin, and conversely growing back the sequence only ever uses the three
     safe extension moves.
 
-    A twin is deleted towards the smaller of its smallest true-twin and
-    smallest false-twin partner.  Every vertex carries a 64-bit key, the XOR
-    of fixed random codes over its open neighbourhood (its closed key adds
-    its own code), and vertices with equal keys share a bucket.  Deleting x
-    updates the keys of x's neighbours in O(1) each and puts them on a
-    min-heap of candidates, which are checked when popped.  Equal keys are
-    only a hint: each twin claim compares the real neighbourhoods, and a
-    bucket found to hold unequal neighbourhoods requeues all its members
-    whenever a vertex joins it.  The cost is O((n + m) log n) as long as no
-    two distinct neighbourhoods share a key.
+    The live vertices are kept in twin classes: maximal sets of pairwise true
+    twins or pairwise false twins, found once, exactly, from `graph.adj`.  A
+    class keeps its members, the set of classes adjacent to it, a key, the
+    XOR of fixed random 64-bit codes over those classes, and an entry in an
+    index from open and closed keys to classes.  Equal keys are only a hint:
+    a twin claim is confirmed on the adjacent-class sets, so a collision costs
+    one comparison, never a wrong step.
+
+    Twins stay twins while other vertices are deleted, so classes never
+    split.  They shrink as their members are deleted, and grow only when a
+    one-member class merges into the class of its member's new twin.  That
+    happens at a single place, by this lemma: *deleting x creates a new twin
+    pair only at the step's anchor, and only when x leaves no twin behind.*
+    Proof: two vertices are twins, of either kind, when no third vertex is
+    adjacent to exactly one of them.  If a and b become twins once x is
+    deleted, x was the one vertex that told them apart.  A surviving twin y
+    of x has x's neighbours outside {x, y}, so unless y is a or b it tells
+    them apart too.  So if x's class keeps two members, both would be a and
+    b, which were twins already.  If it keeps one member y, y is a or b, and
+    y is the step's anchor unless x is a pendant, when the other is x's one
+    neighbour, the anchor, as x is adjacent to exactly one of a and b; so
+    looking up y's class finds the pair.  If x was a pendant with no twin,
+    its one neighbour, the anchor, is a or b for the same reason.  Likewise
+    deleting x lowers a degree to 1 only at the anchor or at a neighbour of
+    it: a neighbour of x still adjacent to two members of x's class keeps
+    degree 2.
+
+    So the steps run as follows.  A queue holds every vertex that is a
+    pendant or has a twin; one popped after losing its only twin is dropped.
+    The smallest queued vertex x is the smallest removable one, and so the
+    smallest of its class, all of whose members are removable: a twin step's
+    partner is the class's next member.  Deleting x from a class that keeps
+    two or more members touches nothing else.  When the class is left with
+    one member, its adjacent one-member classes with no other neighbour
+    become pendants, and the class is rechecked; when a pendant's one-member
+    class leaves, its neighbour's class drops one key term and is rechecked.
+    A recheck is one index lookup per key.  On a match the one-member class
+    merges into its twin's class, and the classes adjacent to it drop its
+    key term.
+
+    Setup costs O(n + m): one key per vertex, and each vertex compared once
+    with the first vertex of its key.  A merge, and the pendant scan of a
+    class left with one member, cost the number of classes adjacent to it,
+    at most the degree of that member y, and adjacent-class sets only ever
+    shrink.  The scan is paid for by the deletion of y's last twin, which had
+    as many adjacent classes, and so is y's next merge; y's first merge is
+    paid for by its own edges.  The queue takes O(n) vertices in all, each
+    merge adding at most two and each vertex becoming a pendant once, so the
+    steps cost O(m + n log n), as long as no two distinct neighbourhoods
+    share a key.
+
+    A false twin with no neighbour is an isolated vertex, and deleting one
+    raises `Disconnected`.  No other step disconnects a component or
+    deletes its last vertex, so the live vertices induce as many components
+    as the graph has.  A disconnected graph thus either comes to such a
+    step or fails with a disconnected residue, and a failed pruning checks
+    the residue's connectivity before it returns None.
     """
-    if graph.n == 0:
-        raise Disconnected("empty graph has no pruning sequence")
-    if len(connected_components(graph)) != 1:
-        raise Disconnected("pruning sequences are defined for connected graphs")
     n = graph.n
+    if n == 0:
+        raise Disconnected("empty graph has no pruning sequence")
+    adj = graph.adj
     rng = random.Random(_KEY_SEED)
     code = [rng.getrandbits(64) for _ in range(n)]
-    adj = [set(nb) for nb in graph.adj]
-    okey = [reduce(xor, [code[w] for w in nb], 0) for nb in adj]
-    alive = [True] * n
-    # index 0: buckets by open key (false twins); index 1: by closed key (true twins).
-    # A bucket is a heap of vertex ids whose stale entries are dropped when they surface.
-    buckets: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
-    sizes: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    impure: tuple[set[int], set[int]] = (set(), set())
+    # the keys of the vertices' open neighbourhoods, which become the classes'
+    # open keys once each class's code is the XOR of its members' codes
+    key = [reduce(xor, map(code.__getitem__, nb), 0) for nb in adj]
+    cls, true = _twin_classes(adj, code, key)
+    # members[c] is None for a class holding only the vertex c, else a heap
+    members: list[list[int] | None] = [None] * n
     for v in range(n):
-        buckets[0].setdefault(okey[v], []).append(v)
-        buckets[1].setdefault(okey[v] ^ code[v], []).append(v)
-    for t in (0, 1):
-        sizes[t].update((k, len(b)) for k, b in buckets[t].items())
-    queue = list(range(n))
-    queued = [True] * n
+        c = cls[v]
+        if c != v:
+            if members[c] is None:
+                members[c] = [c]
+            members[c].append(v)
+            code[c] ^= code[v]
+            if true[c]:
+                key[c] ^= code[v]  # a true class's members are not its neighbours
+    nbr: list[set[int] | None] = [None] * n
+    for v in range(n):
+        if cls[v] == v:
+            nbr[v] = nb = set(map(cls.__getitem__, adj[v]))
+            nb.discard(v)
+    by_open: dict[int, list[int]] = {}  # one-member and false classes
+    by_closed: dict[int, list[int]] = {}  # one-member and true classes
 
-    def in_bucket(t: int, k: int, v: int) -> bool:
-        return alive[v] and (okey[v] ^ code[v] if t else okey[v]) == k
+    def single(c: int) -> int | None:
+        m = members[c]
+        if m is None:
+            return c
+        return m[0] if len(m) == 1 else None
 
-    def top(t: int, k: int) -> int:
-        bucket = buckets[t][k]
-        while not in_bucket(t, k, bucket[0]):
-            heappop(bucket)
-        return bucket[0]
+    def file(c: int) -> None:
+        one = single(c) is not None
+        if one or not true[c]:
+            by_open.setdefault(key[c], []).append(c)
+        if one or true[c]:
+            by_closed.setdefault(key[c] ^ code[c], []).append(c)
+
+    def unfile(c: int) -> None:
+        one = single(c) is not None
+        if one or not true[c]:
+            _unfile(by_open, key[c], c)
+        if one or true[c]:
+            _unfile(by_closed, key[c] ^ code[c], c)
+
+    def lone_neighbour(c: int) -> int | None:
+        """The one neighbour of each member of class c, when they have degree 1."""
+        m = members[c]
+        nb = nbr[c]
+        if m is not None and len(m) > 1 and true[c]:
+            return m[1] if len(m) == 2 and not nb else None  # the members form a K2
+        if len(nb) == 1:
+            for d in nb:
+                return single(d)
+        return None
+
+    queue = [v for v in range(n) if members[cls[v]] is not None or len(adj[v]) == 1]
+    queued = bytearray(n)
+    for v in queue:
+        queued[v] = 1
 
     def push(v: int) -> None:
         if not queued[v]:
-            queued[v] = True
+            queued[v] = 1
             heappush(queue, v)
 
-    def leave(t: int, k: int) -> None:
-        left = sizes[t][k] - 1
-        if left:
-            sizes[t][k] = left
-        else:
-            del sizes[t][k], buckets[t][k]
+    def retire(c: int) -> None:
+        """Class c leaves, and each class adjacent to it drops its key term."""
+        unfile(c)
+        for d in nbr[c]:
+            unfile(d)
+            nbr[d].discard(c)
+            key[d] ^= code[c]
+            file(d)
+        nbr[c] = None
 
-    def join(t: int, k: int, v: int) -> None:
-        # v may be a new partner for a member whose key did not change.  A lone
-        # member is queued.  In a larger bucket, a member off the queue was last
-        # checked while sharing the bucket and found no partner there, which
-        # marked the bucket impure; only then are the members queued again.
-        size = sizes[t].get(k, 0)
-        if k in impure[t]:
-            for w in buckets[t].get(k, ()):
-                if in_bucket(t, k, w):
-                    push(w)
-        elif size == 1:
-            push(top(t, k))
-        sizes[t][k] = size + 1
-        heappush(buckets[t].setdefault(k, []), v)
+    def merge(c: int, t: int, closed: int) -> None:
+        """The one-member class c joins t, the class of its member's twins."""
+        y = single(c)
+        retire(c)
+        unfile(t)
+        m = members[t]
+        if m is None:
+            members[t] = m = [t]
+        if len(m) == 1:
+            push(m[0])
+        heappush(m, y)
+        cls[y] = t
+        true[t] = closed
+        file(t)
+        push(y)
 
-    def twins(t: int, u: int, v: int) -> bool:
-        if t:
-            return v in adj[u] and adj[u] ^ adj[v] == {u, v}
-        return adj[u] == adj[v]
+    def recheck(c: int) -> None:
+        """Queue the member of the one-member class c if it is now a pendant,
+        and merge c into the class of its new twins, if it has any."""
+        if lone_neighbour(c) is not None:
+            push(single(c))
+        nb = nbr[c]
+        for t in by_open.get(key[c], ()):
+            if t != c and nbr[t] == nb:
+                merge(c, t, 0)
+                return
+        for t in by_closed.get(key[c] ^ code[c], ()):
+            if t != c and t in nb and len(nbr[t]) == len(nb) and nb - nbr[t] == {t}:
+                merge(c, t, 1)
+                return
 
-    def partner(t: int, u: int) -> int | None:
-        k = okey[u] ^ code[u] if t else okey[u]
-        if sizes[t][k] < 2:
-            return None
-        candidate = top(t, k)
-        if candidate == u:
-            heappop(buckets[t][k])
-            candidate = top(t, k)
-            heappush(buckets[t][k], u)
-        if candidate != u and twins(t, u, candidate):
-            return candidate
-        impure[t].add(k)
-        members = {w for w in buckets[t][k] if w != u and in_bucket(t, k, w)}
-        return next((w for w in sorted(members) if twins(t, u, w)), None)
-
+    for c in range(n):
+        if cls[c] == c:
+            file(c)
     steps = []
-    for _ in range(n - 1):
-        while True:
-            if not queue:
-                if residue is not None:
-                    residue.extend(v for v in range(n) if alive[v])
-                return None
-            u = heappop(queue)
-            queued[u] = False
-            if len(adj[u]) == 1:
-                step = PruningStep(u, "pendant", next(iter(adj[u])))
-                break
-            true_partner = partner(1, u)
-            false_partner = partner(0, u)
-            if true_partner is not None and (false_partner is None or true_partner < false_partner):
-                step = PruningStep(u, "true_twin", true_partner)
-                break
-            if false_partner is not None:
-                step = PruningStep(u, "false_twin", false_partner)
-                break
-        x = step.removed
-        alive[x] = False
-        leave(0, okey[x])
-        leave(1, okey[x] ^ code[x])
-        for u in adj[x]:
-            adj[u].discard(x)
-            old = okey[u]
-            okey[u] = new = old ^ code[x]
-            leave(0, old)
-            join(0, new, u)
-            leave(1, old ^ code[u])
-            join(1, new ^ code[u], u)
-            push(u)
-        steps.append(step)
-    seq = PruningSequence(tuple(steps), alive.index(True))
+    while len(steps) < n - 1:
+        if not queue:
+            live = sorted(v for c in range(n) if nbr[c] is not None for v in members[c] or (c,))
+            if len(connected_components(induced_subgraph(graph, live))) != 1:
+                raise Disconnected("pruning sequences are defined for connected graphs")
+            if residue is not None:
+                residue.extend(live)
+            return None
+        x = heappop(queue)
+        queued[x] = 0
+        c = cls[x]
+        m = members[c]
+        anchor = lone_neighbour(c)
+        if anchor is not None:
+            kind = "pendant"
+        elif m is None or len(m) == 1:
+            continue  # x lost its only twin
+        elif true[c] or nbr[c]:
+            kind = "true_twin" if true[c] else "false_twin"
+            anchor = min(m[1:3])  # the heap's second smallest
+        else:  # a false twin with no neighbour is an isolated vertex
+            raise Disconnected("pruning sequences are defined for connected graphs")
+        steps.append(PruningStep(x, kind, anchor))
+        if m is None or len(m) == 1:
+            # x is a pendant with no twin: its class leaves with it, and only
+            # its neighbour's class changes
+            (p,) = nbr[c]
+            retire(c)
+            recheck(p)
+        elif len(m) == 2:
+            # x's class is left with one member, so a one-member class with
+            # no other neighbour is now a pendant on it
+            unfile(c)
+            heappop(m)
+            file(c)
+            for d in nbr[c]:
+                if len(nbr[d]) == 1 and single(d) is not None:
+                    push(single(d))
+            recheck(c)
+        else:
+            heappop(m)
+    seq = PruningSequence(tuple(steps), steps[-1].anchor if steps else 0)
     object.__setattr__(seq, "graph", graph)  # frozen, and not an init argument
     return seq
 
@@ -335,7 +468,7 @@ def non_dh_obstruction(graph: Graph, residue: Collection[int] | None = None) -> 
 
     Only a vertex of the current R costs a DH test, so a small obstruction
     inside a large 2-core costs about |R| tests, not |C|.  The worst case
-    is still |C| + 1 DH tests, each on a 2-core, so O(n(n + m) log n), as
+    is still |C| + 1 DH tests, each on a 2-core, so O(n(m + n log n)), as
     when R is most of a prime 2-core.
     """
     keep = two_core(graph)

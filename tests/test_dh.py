@@ -31,6 +31,7 @@ from lrw1.named import (
     net_graph,
     octahedron_graph,
     path_graph,
+    spider_graph,
 )
 from lrw1.recognizer import recognize
 
@@ -141,6 +142,139 @@ def test_colliding_keys_leave_the_sequence_unchanged(monkeypatch, bits):
         _assert_matches_reference(oracle.random_dh_graph(25, seed))
         _assert_matches_reference(oracle.random_lrw1_graph(25, seed))
     _assert_matches_reference(complete_graph(12))
+
+
+def _reference_residue(g):
+    """The live vertices at which the rescanning reference pruner gets stuck."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    while (step := oracle._next_elimination(adj)) is not None:
+        for u in adj.pop(step.removed):
+            adj[u].discard(step.removed)
+    return sorted(adj)
+
+
+def _assert_matches_reference_with_residue(g):
+    expected = oracle.reference_pruning_sequence(g)
+    residue = []
+    assert pruning_sequence(g, residue) == expected, g
+    assert residue == ([] if expected is not None else _reference_residue(g)), g
+
+
+def _twin_heavy_graph(rng, n, flips):
+    """A random graph on up to 6 vertices grown to n vertices by pendant and
+    twin moves, mostly twins, then relabelled, with `flips` pairs toggled."""
+    k = rng.randint(1, min(6, n))
+    adj = [set() for _ in range(k)]
+    for u in range(k):
+        for v in range(u + 1, k):
+            if v == u + 1 or rng.random() < 0.5:
+                adj[u].add(v)
+                adj[v].add(u)
+    for w in range(k, n):
+        v = rng.randrange(w)
+        move = rng.random()
+        nb = {v} if move < 0.15 or not adj[v] else adj[v] | {v} if move < 0.55 else set(adj[v])
+        adj.append(nb)
+        for u in nb:
+            adj[u].add(w)
+    pairs = {frozenset((u, v)) for u in range(n) for v in adj[u]}
+    for _ in range(flips):
+        pairs ^= {frozenset(rng.sample(range(n), 2))}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in map(tuple, pairs)])
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_colliding_keys_keep_steps_and_residue(monkeypatch, bits):
+    # with codes of 1 or 2 bits, nearly every recheck finds a class with its
+    # key but other neighbours, so each twin claim is settled by comparing
+    # adjacent-class sets
+    rng = random.Random(bits)
+    codes = SimpleNamespace(getrandbits=lambda _: rng.getrandbits(bits))
+    monkeypatch.setattr(dh, "random", SimpleNamespace(Random=lambda seed: codes))
+    for g in _connected_fixtures(7):
+        _assert_matches_reference_with_residue(g)
+    graphs = random.Random(bits + 10)
+    for i in range(90):
+        g = _twin_heavy_graph(graphs, graphs.randint(2, 40), i % 3)
+        if len(connected_components(g)) == 1:
+            _assert_matches_reference_with_residue(g)
+
+
+def test_matches_reference_on_twin_heavy_graphs():
+    graphs = random.Random(14)
+    dh_seen = non_dh_seen = 0
+    for i in range(150):
+        g = _twin_heavy_graph(graphs, graphs.randint(2, 60), i % 3)
+        if len(connected_components(g)) == 1:
+            _assert_matches_reference_with_residue(g)
+            if is_distance_hereditary(g):
+                dh_seen += 1
+            else:
+                non_dh_seen += 1
+    assert dh_seen > 30 and non_dh_seen > 30
+
+
+def _complete_bipartite(a, b):
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _shrink_then_merge(base, v):
+    """`base` with a true twin t of v and a vertex w on v's neighbours: once
+    v or t is deleted, the survivor's class of one is w's false twin."""
+    n = base.n
+    nb = sorted(base.adj[v])
+    return Graph(n + 2, list(base.edges) + [(v, n)] + [(u, n) for u in nb] + [(u, n + 1) for u in nb])
+
+
+# K_n up to 30 and K_{a,b} up to 8 x 8 are in test_matches_reference_on_twin_classes
+@pytest.mark.parametrize("g", [
+    *[_complete_bipartite(a, k) for a in (1, 2, 3) for k in (9, 16)],
+    *[spider_graph(k, 2) for k in (1, 2, 3, 5)],
+    # a true pair {0, 1} and 2 all on 3: deleting 0 leaves 1 a pendant that
+    # merges into 2's class, so 1 goes as a pendant on 3
+    Graph(4, [(0, 1), (0, 3), (1, 3), (2, 3)]),
+    # the same on a false pair {3, 4}: 1 joins 2 as a false twin
+    Graph(5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]),
+], ids=repr)
+def test_matches_reference_on_twin_class_edge_cases(g):
+    _assert_matches_reference_with_residue(g)
+
+
+def test_matches_reference_when_a_class_shrinks_to_one_and_merges():
+    for base in _connected_fixtures(5):
+        if base.n > 1:
+            for v in range(base.n):
+                _assert_matches_reference_with_residue(_shrink_then_merge(base, v))
+
+
+@pytest.mark.parametrize("g", [
+    disjoint_union(cycle_graph(5), Graph(1)),  # pruning fails: a check, not None
+    disjoint_union(Graph(1), Graph(1)),  # an isolated false twin is deleted
+    disjoint_union(path_graph(2), path_graph(2)),
+    disjoint_union(complete_graph(3), Graph(1)),
+    disjoint_union(_complete_bipartite(1, 3), cycle_graph(6)),
+], ids=repr)
+def test_disconnected_graphs_raise(g):
+    residue = []
+    with pytest.raises(Disconnected):
+        pruning_sequence(g, residue)
+    assert residue == []
+    with pytest.raises(Disconnected):
+        oracle.reference_pruning_sequence(g)
+
+
+def test_connectivity_is_checked_only_when_pruning_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dh, "connected_components", lambda g: calls.append(g.n) or connected_components(g))
+    assert pruning_sequence(oracle.random_dh_graph(50, 1)) is not None
+    assert calls == []
+    assert pruning_sequence(cycle_graph(7)) is None
+    assert calls == [7]
+    # the live vertices keep the graph's components, so only they are checked
+    assert pruning_sequence(hung_c5(200, False)) is None
+    assert calls == [7, 5]
 
 
 # -- the boolean test ---------------------------------------------------------------
