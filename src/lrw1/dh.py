@@ -168,8 +168,8 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     become pendants, and the class is rechecked; when a pendant's one-member
     class leaves, its neighbour's class drops one key term and is rechecked.
     A recheck is one index lookup per key.  On a match the one-member class
-    merges into its twin's class, and the classes adjacent to it drop its
-    key term.
+    merges into its twin's class, whose code takes in its own, so that no
+    other class's key changes.
 
     Setup costs O(n + m): one key per vertex, and each vertex compared once
     with the first vertex of its key.  A merge, and the pendant scan of a
@@ -270,10 +270,21 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
         nbr[c] = None
 
     def merge(c: int, t: int, closed: int) -> None:
-        """The one-member class c joins t, the class of its member's twins."""
+        """The one-member class c joins t, the class of its member's twins.
+
+        Every class adjacent to c but t is adjacent to t too, so once t's
+        code takes in c's, their keys are unchanged.  So are t's index keys:
+        a true t drops c's code from its open key, as c's member is now one
+        of its members rather than a neighbour."""
         y = single(c)
-        retire(c)
+        unfile(c)
         unfile(t)
+        for d in nbr[c]:
+            nbr[d].discard(c)
+        nbr[c] = None
+        code[t] ^= code[c]
+        if closed:
+            key[t] ^= code[c]
         m = members[t]
         if m is None:
             members[t] = m = [t]

@@ -93,6 +93,39 @@ def _lrw_table(graph: Graph) -> tuple[int, dict[int, int]]:
     return best[full], best
 
 
+def lrw_at_most(graph: Graph, k: int, without: int | None = None) -> bool:
+    """Whether the linear rank-width is at most k, leaving out the vertex
+    `without` when one is given.
+
+    A depth-first search over ordering prefixes, taken as vertex sets: a
+    prefix is extended only while its cut rank is at most k, and the search
+    stops at the first full set.  Each set's rank is computed at most once,
+    and only for sets reached through prefixes within the bound, where
+    `brute_lrw` ranks every set.
+    """
+    if graph.n > _LRW_GUARD:
+        raise TooLarge(f"exact linear rank-width guard is {_LRW_GUARD} vertices")
+    full = (1 << graph.n) - 1
+    if without is not None:
+        if not 0 <= without < graph.n:
+            raise ValueError(f"vertex {without} out of range")
+        full ^= 1 << without
+    masks = [m & full for m in graph.adjacency_masks()]
+    seen = {0}
+    stack = [0]
+    while stack:
+        prefix = stack.pop()
+        if prefix == full:
+            return True
+        for v in _bits(full & ~prefix):
+            grown = prefix | 1 << v
+            if grown not in seen:
+                seen.add(grown)
+                if rank_of_rows(masks[u] & ~grown for u in _bits(grown)) <= k:
+                    stack.append(grown)
+    return False
+
+
 def brute_lrw_by_enumeration(graph: Graph) -> int:
     """Plain minimum over every ordering; only for cross-checking the search."""
     from .gf2 import cutrank_of_ordering

@@ -309,9 +309,13 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
     most 1.  An obstruction is re-induced and checked to have the shape its
     family claims.  Up to the exhaustive guard of 10 vertices it is then
     checked to have linear rank-width exactly 2 and to lose it under every
-    single vertex deletion.  A larger one can only be a hole, whose
-    chordless-cycle shape check in O(n) already proves both.  A malformed
-    certificate yields a failed result with a reason, never an exception.
+    single vertex deletion, each by `oracle.lrw_at_most`, a width search
+    that stops at the first ordering within its bound.  A deletion is
+    checked on the whole remainder, since the width of a disjoint union is
+    the largest width of its components.  A larger obstruction can only be
+    a hole, whose chordless-cycle shape check in O(n) already proves both.
+    A malformed certificate yields a failed result with a reason, never an
+    exception.
     """
     if isinstance(certificate, OrderingCertificate):
         try:
@@ -339,13 +343,11 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
         # 2, and the cycle order has no prefix cut of rank above 2.  Deleting
         # any vertex leaves a path, of linear rank-width 1.
         return _OK
-    if oracle.brute_lrw(sub) != 2:
+    if oracle.lrw_at_most(sub, 1) or not oracle.lrw_at_most(sub, 2):
         return _fail("induced subgraph does not have linear rank-width 2")
     for v in range(sub.n):
-        remainder = induced_subgraph(sub, [u for u in range(sub.n) if u != v])
-        for comp in connected_components(remainder):
-            if oracle.brute_lrw(induced_subgraph(remainder, comp)) > 1:
-                return _fail(f"deleting vertex {vs[v]} leaves width 2: not minimal")
+        if not oracle.lrw_at_most(sub, 1, without=v):
+            return _fail(f"deleting vertex {vs[v]} leaves width 2: not minimal")
     return _OK
 
 

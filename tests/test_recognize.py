@@ -215,7 +215,7 @@ def test_leg_pairs_are_the_first_admissible_pairs():
 
 def test_recognize_runs_no_brute_force(monkeypatch):
     # a catalog match proves a DH rejection, so recognition needs neither the
-    # exact-width oracle nor the verifier, and matches the catalog once
+    # width oracles nor the verifier, and matches the catalog once
     def refuse(*args, **kwargs):
         raise AssertionError("brute force on the recognise path")
 
@@ -228,6 +228,7 @@ def test_recognize_runs_no_brute_force(monkeypatch):
     matches = []
     match = recognizer_module._match_catalog
     monkeypatch.setattr(oracle, "brute_lrw", refuse)
+    monkeypatch.setattr(oracle, "lrw_at_most", refuse)
     monkeypatch.setattr(recognizer_module, "verify_certificate", refuse)
     monkeypatch.setattr(recognizer_module, "_match_catalog", lambda g: matches.append(g) or match(g))
     certs = [recognize(g) for g in graphs]
@@ -371,6 +372,16 @@ def test_verifier_rejects_non_minimal_set():
     g = Graph(6, list(cycle_graph(5).edges) + [(0, 5)])
     cert = ObstructionCertificate((0, 1, 2, 3, 4, 5), "hole", hole_length=6)
     assert not verify_certificate(g, cert)
+
+
+def test_verifier_checks_width_and_minimality_behind_the_shape_check(monkeypatch):
+    # no shape-checked certificate reaches these branches, so pass every shape
+    monkeypatch.setattr(recognizer_module, "_check_family_shape", lambda sub, cert: None)
+    out = verify_certificate(path_graph(6), ObstructionCertificate(tuple(range(6)), "hole", hole_length=6))
+    assert not out and out.reason == "induced subgraph does not have linear rank-width 2"
+    hung = Graph(6, list(cycle_graph(5).edges) + [(0, 5)])
+    out = verify_certificate(hung, ObstructionCertificate(tuple(range(6)), "hole", hole_length=6))
+    assert not out and out.reason == "deleting vertex 5 leaves width 2: not minimal"
 
 
 # -- invariance properties ------------------------------------------------------------------------
