@@ -271,9 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parsing leaves no state in it, and a parser discarded
+# on every call is cyclic garbage that keeps a long-lived caller collecting.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (LrwError, OSError) as exc:

@@ -53,10 +53,10 @@ class Gf2Matrix:
         return (self.rows[r] >> c) & 1
 
     def transpose(self) -> "Gf2Matrix":
-        rows = tuple(
+        rows = tuple([
             sum(((self.rows[r] >> c) & 1) << r for r in range(len(self.rows)))
             for c in range(len(self.col_labels))
-        )
+        ])
         return Gf2Matrix(self.col_labels, self.row_labels, rows)
 
 
@@ -97,7 +97,7 @@ def cut_matrix(graph: Graph, side: Iterable[int]) -> Gf2Matrix:
         if not 0 <= v < graph.n:
             raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
     rows_lab = tuple(sorted(side_set))
-    cols_lab = tuple(v for v in range(graph.n) if v not in side_set)
+    cols_lab = tuple([v for v in range(graph.n) if v not in side_set])
     return Gf2Matrix(rows_lab, cols_lab, tuple(cut_rows(graph.adj, rows_lab, cols_lab)))
 
 

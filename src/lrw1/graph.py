@@ -18,7 +18,7 @@ from .errors import InvalidVertex, NotAnEdge, ParseError, TooLarge
 class Graph:
     """Undirected loop-free graph with frozen-set adjacency."""
 
-    __slots__ = ("n", "labels", "adj", "_hash")
+    __slots__ = ("n", "labels", "adj", "_hash", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Sequence | None = None):
         if n < 0:
@@ -32,11 +32,18 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
+        # Per-graph tuples are built from lists, never from a generator or an
+        # iterator of unknown length.  CPython builds such a tuple at a guessed
+        # size and shrinks it, so it never comes from the free list of its
+        # final size, yet joins that list when freed.  Only a full garbage
+        # collection empties the lists, so in a long-lived caller each build
+        # would leave one more block behind (tests/test_tuple_rule.py).
+        self.adj = tuple([frozenset(s) for s in adj])
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
             raise ValueError("label table size must match vertex count")
         self._hash = None
+        self._masks = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -51,14 +58,17 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v)
+        return tuple([(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v])
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def adjacency_masks(self) -> list[int]:
-        """Adjacency rows as integers (bit v of row u set iff uv is an edge)."""
-        return [sum(1 << v for v in s) for s in self.adj]
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Adjacency rows as integers (bit v of row u set iff uv is an edge),
+        built on the first call and kept, as the graph does not change."""
+        if self._masks is None:
+            self._masks = tuple([sum(1 << v for v in s) for s in self.adj])
+        return self._masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -249,8 +259,8 @@ def canonical_form(graph: Graph) -> tuple[int, int]:
             raise TooLarge("too many candidate orders for canonical form")
     masks = graph.adjacency_masks()
     best = None
-    for combo in itertools.product(*(itertools.permutations(c) for c in classes)):
-        perm = tuple(itertools.chain.from_iterable(combo))
+    for combo in itertools.product(*[itertools.permutations(c) for c in classes]):
+        perm = [v for part in combo for v in part]
         bits = 0
         for j in range(1, n):
             mj = masks[perm[j]]

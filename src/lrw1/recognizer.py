@@ -254,7 +254,7 @@ def recognize(graph: Graph) -> Certificate:
         result = _recognize_connected(induced_subgraph(graph, comp))
         if isinstance(result, ObstructionCertificate):
             return ObstructionCertificate(
-                tuple(comp[i] for i in result.vertices),
+                tuple([comp[i] for i in result.vertices]),
                 result.family,
                 result.hole_length,
                 result.catalog_index,

@@ -154,9 +154,9 @@ class Block:
             return self.listed_edges
         vs = self.vertices
         if self.kind == "clique":
-            return tuple(itertools.combinations(vs, 2))
+            return tuple(list(itertools.combinations(vs, 2)))
         c = self.centre  # a star: every other vertex is a leaf on c
-        return tuple((x, c) for x in vs if x < c) + tuple((c, x) for x in vs if x > c)
+        return tuple([(x, c) for x in vs if x < c] + [(c, x) for x in vs if x > c])
 
     @cached_property
     def adj(self) -> dict[int, frozenset[int]]:
@@ -168,11 +168,11 @@ class Block:
 
     @property
     def own_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if v >= 0)
+        return tuple([v for v in self.vertices if v >= 0])
 
     @property
     def marker_ids(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if v < 0)
+        return tuple([v for v in self.vertices if v < 0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
@@ -459,7 +459,7 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
     seed = {x: graph.adj[x] & first for x in first}
     cell = _Cell(0, *_classify_adj(seed), set(first))
     if cell.kind == "prime":
-        cell.edges = tuple((u, v) for u in sorted(first) for v in sorted(seed[u]) if u < v)
+        cell.edges = tuple([(u, v) for u in sorted(first) for v in sorted(seed[u]) if u < v])
     cells = [cell]
     home = dict.fromkeys(first, cell)  # original vertex -> its cell
     mhome: dict[int, _Cell] = {}
@@ -548,9 +548,9 @@ class SplitTree:
 
 def split_tree(decomposition: Decomposition) -> SplitTree:
     """Contract the solid edges: one node per block, one edge per marker pair."""
-    nodes = tuple(
+    nodes = tuple([
         TreeNode(b.id, b.kind, b.centre, b.own_vertices) for b in decomposition.blocks
-    )
+    ])
     edges = tuple(
         sorted(
             tuple(sorted((decomposition.home_of(a), decomposition.home_of(b))))

@@ -1,6 +1,10 @@
 """Command line behaviour: exit codes, JSON round trips, DOT output, sweeps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,42 @@ def test_stdin_input(monkeypatch, capsys):
 
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(cycle_graph(5))))
     assert cli.main(["recognize"]) == 1
+
+
+def test_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, capsys):
+    # main parses with one parser built at import; a run of calls in one
+    # process must print what a fresh process prints for each call
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    net = _write(tmp_path, "net.edges", serialize_graph(net_graph()))
+    cat = _write(tmp_path, "cat.edges", serialize_graph(caterpillar_graph(3, [1, 1, 0])))
+    calls = [
+        ["recognize", "--json", net],
+        ["recognize", net],  # --json must not carry over
+        ["decompose", cat],
+        ["recognize", "--no-such-flag", net],
+        ["recognize", "--no-such-flag", net],
+        ["recognize", "--help"],
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        seen.append((code, out, err))
+    assert [code for code, _, _ in seen] == [1, 1, 0, 2, 2, 0]
+    assert seen[3] == seen[4]
+
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["recognize", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == seen[5][1]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, (code, out, err) in zip(calls, seen):
+        fresh = subprocess.run([sys.executable, "-m", "lrw1.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+        if code == 2:
+            assert fresh.stderr == err
