@@ -4,10 +4,12 @@
 
 Writes 42 seeded graphs to a temporary directory: accepts from
 `oracle.random_lrw1_graph`, dh_star3 rejections from `oracle.random_dh_graph`
-and non-DH rejections from `conftest.hung_c5`.  Runs `recognize --json` on
-each of them for one warm-up round and then for 8 more rounds, and exits 1
-when `sys.getallocatedblocks()` grew by more than BUDGET blocks over those 8
-rounds.  A caller that reuses the process, such as a benchmark worker, would
+and non-DH rejections from `conftest.hung_c5`.  Runs `recognize --json` and
+`recognize --json --verify` on each of them for one warm-up round and then
+for 8 more rounds, and exits 1 when `sys.getallocatedblocks()` grew by more
+than BUDGET blocks over those 8 rounds.  The second call runs the verifier,
+with its width searches on each obstruction, as a benchmark worker does on
+every graph.  A caller that reuses the process, such as that worker, would
 otherwise see its memory creep: CPython's tuple free lists keep a block for
 each tuple built from an iterator of unknown length until a full garbage
 collection, and each discarded argparse parser is cyclic garbage that sets
@@ -44,17 +46,18 @@ def main() -> int:
 
         def one_round() -> None:
             for path, code in runs:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    got = cli.main(["recognize", "--json", path])
-                if got != code:
-                    raise SystemExit(f"{path}: exit {got}, expected {code}")
+                for argv in (["recognize", "--json", path], ["recognize", "--json", "--verify", path]):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        got = cli.main(argv)
+                    if got != code:
+                        raise SystemExit(f"{' '.join(argv)}: exit {got}, expected {code}")
 
         one_round()
         start = sys.getallocatedblocks()
         for _ in range(ROUNDS):
             one_round()
         growth = sys.getallocatedblocks() - start
-    print(f"{len(runs)} graphs, {ROUNDS} rounds: {growth:+d} allocated blocks (budget {BUDGET})")
+    print(f"{len(runs)} graphs, 2 calls each, {ROUNDS} rounds: {growth:+d} allocated blocks (budget {BUDGET})")
     return 0 if growth <= BUDGET else 1
 
 

@@ -84,14 +84,18 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
 
 
 def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
-    """Certificate from its JSON form; ParseError naming a missing key, a value
-    of the wrong JSON type, or a label that is not a vertex label.  A label
-    must have the type of the vertex label it names: JSON true and 1.0 are
-    equal to 1 in Python but name no vertex labelled 1."""
+    """Certificate from its JSON form; ParseError naming a missing key, a
+    status other than "lrw_le_1" or "lrw_ge_2", a value of the wrong JSON
+    type, or a label that is not a vertex label.  A label must have the type
+    of the vertex label it names: JSON true and 1.0 are equal to 1 in Python
+    but name no vertex labelled 1."""
     ids = {label: v for v, label in enumerate(graph.labels)}
     _require_type(payload, dict, "the certificate")
     try:
-        ordered = payload["status"] == "lrw_le_1"
+        status = payload["status"]
+        if status not in ("lrw_le_1", "lrw_ge_2"):
+            raise ParseError(f"certificate status {status!r} is neither 'lrw_le_1' nor 'lrw_ge_2'")
+        ordered = status == "lrw_le_1"
         if ordered:
             labels = payload["ordering"]
             _require_type(labels, list, "'ordering'")
@@ -211,11 +215,12 @@ def _cmd_lrw_exact(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     directory = oracle.fixtures_dir()
-    for n in range(1, args.max_n + 1):
-        path = directory / f"n{n}.g6"
+    paths = [directory / f"n{n}.g6" for n in range(1, args.max_n + 1)]
+    for path in paths:  # all of them, before a sweep that can take minutes
         if not path.is_file():
             print(f"missing fixture file: {path}", file=sys.stderr)
             return EXIT_ERROR
+    for n, path in enumerate(paths, 1):
         count = 0
         for graph in oracle.load_fixture_file(path):
             if n > 1 and len(connected_components(graph)) != 1:

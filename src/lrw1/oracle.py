@@ -47,6 +47,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _member_table(width: int) -> tuple[tuple[int, ...], ...]:
+    # doubling: the masks from 2^v up are those below it with v added last
+    table: list[tuple[int, ...]] = [()]
+    for v in range(width):
+        table.extend([members + (v,) for members in table])
+    return tuple(table)
+
+
+# The ascending vertices of every mask the width search can meet.
+_MEMBERS = _member_table(_LRW_GUARD)
+
+
 # -- exact linear rank-width ---------------------------------------------------
 
 
@@ -101,7 +113,13 @@ def lrw_at_most(graph: Graph, k: int, without: int | None = None) -> bool:
     prefix is extended only while its cut rank is at most k, and the search
     stops at the first full set.  Each set's rank is computed at most once,
     and only for sets reached through prefixes within the bound, where
-    `brute_lrw` ranks every set.
+    `brute_lrw` ranks every set.  A set's vertices are read from the table
+    `_MEMBERS`; `brute_lrw`, the reference the search is tested against,
+    lists them with `_bits` instead.
+
+    Leaving out v lowers the width by at most 1: an ordering of G - v
+    followed by v adds one column to each prefix cut, so
+    lrw(G) <= lrw(G - v) + 1.
     """
     if graph.n > _LRW_GUARD:
         raise TooLarge(f"exact linear rank-width guard is {_LRW_GUARD} vertices")
@@ -117,11 +135,11 @@ def lrw_at_most(graph: Graph, k: int, without: int | None = None) -> bool:
         prefix = stack.pop()
         if prefix == full:
             return True
-        for v in _bits(full & ~prefix):
+        for v in _MEMBERS[full & ~prefix]:
             grown = prefix | 1 << v
             if grown not in seen:
                 seen.add(grown)
-                if rank_of_rows(masks[u] & ~grown for u in _bits(grown)) <= k:
+                if rank_of_rows([masks[u] & ~grown for u in _MEMBERS[grown]]) <= k:
                     stack.append(grown)
     return False
 

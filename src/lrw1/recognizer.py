@@ -308,12 +308,17 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
     basis updated as the ordering advances, in O(n + m) when its width is at
     most 1.  An obstruction is re-induced and checked to have the shape its
     family claims.  Up to the exhaustive guard of 10 vertices it is then
-    checked to have linear rank-width exactly 2 and to lose it under every
-    single vertex deletion, each by `oracle.lrw_at_most`, a width search
-    that stops at the first ordering within its bound.  A deletion is
-    checked on the whole remainder, since the width of a disjoint union is
-    the largest width of its components.  A larger obstruction can only be
-    a hole, whose chordless-cycle shape check in O(n) already proves both.
+    checked to have linear rank-width above 1, and at most 1 once any one
+    vertex is deleted, each by `oracle.lrw_at_most`, a width search that
+    stops at the first ordering within its bound.  A deletion is checked on
+    the whole remainder, since the width of a disjoint union is the largest
+    width of its components.  Passing one deletion also proves the width at
+    most 2: an ordering of H - v followed by v adds one column to each prefix
+    cut, so lrw(H) <= lrw(H - v) + 1.  A width-2 search runs only once a
+    deletion has kept width 2, to tell a graph too wide from one that is not
+    minimal.
+    A larger obstruction can only be a hole, whose chordless-cycle shape
+    check in O(n) already proves both.
     A malformed certificate yields a failed result with a reason, never an
     exception.
     """
@@ -343,10 +348,12 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
         # 2, and the cycle order has no prefix cut of rank above 2.  Deleting
         # any vertex leaves a path, of linear rank-width 1.
         return _OK
-    if oracle.lrw_at_most(sub, 1) or not oracle.lrw_at_most(sub, 2):
+    if oracle.lrw_at_most(sub, 1):
         return _fail("induced subgraph does not have linear rank-width 2")
     for v in range(sub.n):
         if not oracle.lrw_at_most(sub, 1, without=v):
+            if not oracle.lrw_at_most(sub, 2):
+                return _fail("induced subgraph does not have linear rank-width 2")
             return _fail(f"deleting vertex {vs[v]} leaves width 2: not minimal")
     return _OK
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import hung_c5
 
-from lrw1 import cli, dh
+from lrw1 import cli, dh, oracle
 from lrw1.errors import ParseError
 from lrw1.graph import parse_graph, serialize_graph
 from lrw1.named import caterpillar_graph, cycle_graph, house_graph, net_graph, path_graph
@@ -79,6 +79,9 @@ def test_json_round_trip(tmp_path, capsys):
     ({}, "'status'"),
     ({"status": "lrw_le_1"}, "'ordering'"),
     ({"status": "lrw_le_1", "ordering": [0, 1, 7]}, "7"),
+    ({"status": "bogus", "obstruction": {"vertices": [0, 1, 2], "family": "hole"}}, "'bogus'"),
+    ({"status": ["x"], "obstruction": {"vertices": [0, 1, 2], "family": "hole"}}, r"\['x'\]"),
+    ({"status": None}, "None"),
 ])
 def test_malformed_certificate_raises_parse_error(payload, named):
     with pytest.raises(ParseError, match=named):
@@ -189,6 +192,16 @@ def test_crosscheck_missing_fixtures(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("LRW1_FIXTURES", str(tmp_path / "absent"))
     assert cli.main(["crosscheck", "--max-n", "3"]) == 2
     assert "missing fixture" in capsys.readouterr().err
+
+
+def test_crosscheck_checks_every_fixture_file_before_the_sweep(monkeypatch, tmp_path, capsys):
+    for n in range(1, 4):
+        (tmp_path / f"n{n}.g6").write_text(oracle.fixture_path(n).read_text(encoding="ascii"), encoding="ascii")
+    monkeypatch.setenv("LRW1_FIXTURES", str(tmp_path))
+    assert cli.main(["crosscheck", "--max-n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert "checked" not in out
+    assert "missing fixture file" in err and "n4.g6" in err
 
 
 def test_crosscheck_detects_corrupted_recognizer(monkeypatch, capsys):

@@ -91,6 +91,23 @@ def test_lrw_monotone_under_deletion(g, data):
     assert oracle.brute_lrw(rest) <= oracle.brute_lrw(g)
 
 
+def test_lrw_drops_by_at_most_one_under_deletion_up_to_7():
+    # an ordering of G - v followed by v adds one column to each prefix cut;
+    # the verifier relies on this bound instead of a width-2 search
+    for n in range(1, 8):
+        for g in oracle.load_fixture_graphs(n):
+            width = oracle.brute_lrw(g)
+            for v in range(n):
+                rest = induced_subgraph(g, [u for u in range(n) if u != v])
+                assert width <= oracle.brute_lrw(rest) + 1, (g, v)
+
+
+def test_member_table_lists_the_ascending_bits_of_every_mask():
+    assert len(oracle._MEMBERS) == 1 << oracle._LRW_GUARD
+    for m, members in enumerate(oracle._MEMBERS):
+        assert members == tuple(oracle._bits(m)), m
+
+
 def test_lrw_at_most_equals_the_exact_width_up_to_7():
     for n in range(8):
         for g in oracle.load_fixture_graphs(n) if n else [Graph(0)]:

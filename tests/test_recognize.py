@@ -384,6 +384,16 @@ def test_verifier_checks_width_and_minimality_behind_the_shape_check(monkeypatch
     assert not out and out.reason == "deleting vertex 5 leaves width 2: not minimal"
 
 
+def test_verifier_rejects_width_3_once_a_deletion_keeps_width_2(monkeypatch):
+    # the deletion searches alone bound the width by 2 when they pass; here
+    # the first fails, and the width-2 search then names the width as the fault
+    monkeypatch.setattr(recognizer_module, "_check_family_shape", lambda sub, cert: None)
+    g = next(g for g in oracle.load_fixture_graphs(8) if not oracle.lrw_at_most(g, 2))
+    assert oracle.brute_lrw(g) == 3
+    out = verify_certificate(g, ObstructionCertificate(tuple(range(8)), "hole", hole_length=8))
+    assert not out and out.reason == "induced subgraph does not have linear rank-width 2"
+
+
 # -- invariance properties ------------------------------------------------------------------------
 
 

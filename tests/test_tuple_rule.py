@@ -12,7 +12,7 @@ from pathlib import Path
 
 import lrw1
 
-MODULES = ("cli", "graph", "dh", "recognizer", "splitdec", "gf2")
+MODULES = ("cli", "graph", "dh", "recognizer", "splitdec", "gf2", "oracle")
 LAZY_BUILTINS = {"map", "filter", "zip"}
 
 
