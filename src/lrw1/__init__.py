@@ -39,24 +39,26 @@ from .recognizer import (
     recognize,
     verify_certificate,
 )
-from .splitdec import (
-    Block,
-    Decomposition,
+from .oracle import (
     DecompositionBuilder,
-    Marker,
-    SplitTree,
-    TreeNode,
-    canonical_decomposition_dh,
     contract_blocks,
-    decomposition_to_dot,
     decompositions_isomorphic,
     is_split,
     recompose,
     refine,
+    validate_canonical,
+)
+from .splitdec import (
+    Block,
+    Decomposition,
+    Marker,
+    SplitTree,
+    TreeNode,
+    canonical_decomposition_dh,
+    decomposition_to_dot,
     side_vertices,
     split_tree,
     split_tree_to_dot,
-    validate_canonical,
 )
 
 __all__ = [

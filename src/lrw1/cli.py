@@ -214,6 +214,9 @@ def _cmd_lrw_exact(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.max_n < 1:  # a sweep over no vertex count would pass having checked nothing
+        print(f"--max-n must be at least 1; got {args.max_n}", file=sys.stderr)
+        return EXIT_ERROR
     directory = oracle.fixtures_dir()
     paths = [directory / f"n{n}.g6" for n in range(1, args.max_n + 1)]
     for path in paths:  # all of them, before a sweep that can take minutes

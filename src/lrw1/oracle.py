@@ -5,6 +5,11 @@ memoised search over vertex-ordering prefixes, splits by enumerating
 bipartitions, canonical decompositions by top-down refinement plus merging,
 vertex-minors by state-space search over local complementations and
 deletions.  Guards keep each operation at desk scale.
+
+It also holds the checks of split decompositions, which nothing on the
+recognition path runs: the split test, the adjacency-set block builder with
+refinement and recomposition, canonicity validation, and the comparison of
+two decompositions by their split trees.
 """
 
 from __future__ import annotations
@@ -12,12 +17,22 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from importlib import resources
 from pathlib import Path
 
 from .dh import PruningSequence, PruningStep, is_distance_hereditary, pruning_sequence, replay_pruning
-from .errors import AlreadyDH, CapExceeded, Disconnected, NotDH, TooLarge
-from .gf2 import rank_of_rows
+from .errors import (
+    AlreadyDH,
+    CapExceeded,
+    Disconnected,
+    InvalidVertex,
+    MalformedDecomposition,
+    NotASplit,
+    NotDH,
+    TooLarge,
+)
+from .gf2 import cut_rows, rank_of_rows
 from .graph import (
     Graph,
     canonical_form,
@@ -28,10 +43,13 @@ from .graph import (
     to_graph6,
 )
 from .splitdec import (
+    Block,
     Decomposition,
-    DecompositionBuilder,
-    block_splits,
+    _classify_adj,
+    _decomposition,
+    _reach,
     canonical_decomposition_dh,
+    canonical_violation,
     split_tree,
 )
 
@@ -158,62 +176,241 @@ def brute_lrw_by_enumeration(graph: Graph) -> int:
 # -- splits ----------------------------------------------------------------------
 
 
-def brute_splits(graph: Graph) -> list[tuple[int, ...]]:
-    """All splits, reported as the side containing vertex 0, sorted."""
+def _is_split_of(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], side: Collection[int], rest: Collection[int]
+) -> bool:
+    """The one split test: both sides hold two vertices or more, and the cut
+    between them has rank 1 in the graph or block whose adjacency is adj."""
+    return len(side) >= 2 and len(rest) >= 2 and rank_of_rows(cut_rows(adj, side, rest)) == 1
+
+
+def _graph_side(graph: Graph, side: Iterable[int]) -> set[int]:
+    """side as a set, once each of its vertices is checked to be in the graph."""
+    side_set = set(side)
+    for v in side_set:
+        if not 0 <= v < graph.n:
+            raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
+    return side_set
+
+
+def is_split(graph: Graph, side: Iterable[int]) -> bool:
+    """True iff {side, rest} has both sides of size >= 2 and cut rank 1."""
+    side_set = _graph_side(graph, side)
+    return _is_split_of(graph.adj, side_set, [v for v in range(graph.n) if v not in side_set])
+
+
+def block_splits(adj: Mapping[int, Iterable[int]]) -> Iterator[frozenset[int]]:
+    """Every split of a block graph, as the side holding its smallest vertex.
+
+    Exhaustive over the 2^(n-1) bipartitions, so only for small blocks; the
+    sides come in the order of the bit masks over the other vertices sorted
+    by id.  A block of fewer than four vertices has no split.
+    """
+    vs = sorted(adj)
+    n = len(vs)
+    if n < 4:
+        return
+    anchor, others = vs[0], vs[1:]
+    for mask in range(1 << (n - 1)):
+        side = {anchor} | {others[i] for i in range(n - 1) if (mask >> i) & 1}
+        if _is_split_of(adj, side, [v for v in vs if v not in side]):
+            yield frozenset(side)
+
+
+def _block_strong_splits(adj: Mapping[int, Iterable[int]]) -> list[frozenset[int]]:
+    """The splits of a block that overlap no other split, in the order of
+    `block_splits`."""
+    splits = list(block_splits(adj))
+    universe = frozenset(adj)
+    # s and s2 overlap when all four intersections of the two bipartitions
+    # are nonempty; no split overlaps itself
+    return [s for s in splits if not any(s & s2 and s - s2 and s2 - s and universe - s - s2 for s2 in splits)]
+
+
+def _guarded_block(graph: Graph) -> dict[int, frozenset[int]]:
+    """The graph's adjacency as a block, once the graph passes the guards of
+    split enumeration."""
     if graph.n > _SPLIT_GUARD:
         raise TooLarge(f"split enumeration guard is {_SPLIT_GUARD} vertices")
     if graph.n == 0 or len(connected_components(graph)) != 1:
         raise Disconnected("splits are defined for connected graphs")
-    n = graph.n
-    masks = graph.adjacency_masks()
-    full = (1 << n) - 1
-    out = []
-    for m in range(1 << (n - 1)):
-        mask = (m << 1) | 1
-        size = mask.bit_count()
-        if size < 2 or n - size < 2:
-            continue
-        if rank_of_rows(masks[v] & ~mask for v in _bits(mask)) == 1:
-            out.append(tuple(sorted(_bits(mask))))
-    return sorted(out)
+    return dict(enumerate(graph.adj))
 
 
-def _overlaps(m1: int, m2: int, full: int) -> bool:
-    return bool(m1 & m2) and bool(m1 & ~m2 & full) and bool(~m1 & m2 & full) and bool(~m1 & ~m2 & full)
+def brute_splits(graph: Graph) -> list[tuple[int, ...]]:
+    """All splits, reported as the side containing vertex 0, sorted."""
+    return sorted(tuple(sorted(s)) for s in block_splits(_guarded_block(graph)))
 
 
 def brute_strong_splits(graph: Graph) -> list[tuple[int, ...]]:
-    """Splits that overlap no other split (as bipartitions)."""
-    splits = brute_splits(graph)
-    full = (1 << graph.n) - 1
-    masks = [sum(1 << v for v in s) for s in splits]
-    out = []
-    for i, m1 in enumerate(masks):
-        if all(i == j or not _overlaps(m1, m2, full) for j, m2 in enumerate(masks)):
-            out.append(splits[i])
-    return out
+    """Splits that overlap no other split (as bipartitions), sorted."""
+    return sorted(tuple(sorted(s)) for s in _block_strong_splits(_guarded_block(graph)))
+
+
+# -- block systems on adjacency sets ----------------------------------------------
+
+
+def _contract(adj: dict[int, set[int]], h1: int, h2: int) -> None:
+    """Contract the marked edge h1-h2 in place: both markers go, and every
+    neighbour of one becomes adjacent to every neighbour of the other."""
+    n1 = adj.pop(h1)
+    n2 = adj.pop(h2)
+    n1.discard(h2)
+    n2.discard(h1)
+    for u in n1:
+        adj[u].discard(h1)
+        adj[u] |= n2
+    for u in n2:
+        adj[u].discard(h2)
+        adj[u] |= n1
+
+
+class DecompositionBuilder:
+    """Mutable block system on explicit adjacency sets, for blocks that may
+    be prime (`refine`, the top-down decomposition and the reference DH
+    build); freeze() turns it into a Decomposition."""
+
+    def __init__(self):
+        self.badj: dict[int, dict[int, set[int]]] = {}
+        self.partner: dict[int, int] = {}
+        self.mhome: dict[int, int] = {}
+        self.vhome: dict[int, int] = {}
+        self._next_block = 0
+        self._next_marker = -1
+
+    def add_block(self, adj: dict[int, set[int]]) -> int:
+        """Add a block and return its id.  The builder takes ownership of adj
+        and of its sets, so the caller must not keep or reuse them."""
+        bid = self._next_block
+        self._next_block += 1
+        self.badj[bid] = adj
+        for v in adj:
+            if v >= 0:
+                self.vhome[v] = bid
+            else:
+                self.mhome[v] = bid
+        return bid
+
+    def fresh_marker(self) -> int:
+        m = self._next_marker
+        self._next_marker -= 1
+        return m
+
+    def pair(self, a: int, b: int) -> None:
+        self.partner[a] = b
+        self.partner[b] = a
+
+    def markerize(self, bid: int, v: int) -> int:
+        """Replace original vertex v inside its block by a fresh marker."""
+        adj = self.badj[bid]
+        m = self.fresh_marker()
+        nb = adj.pop(v)
+        adj[m] = nb
+        for u in nb:
+            u_nb = adj[u]
+            u_nb.discard(v)
+            u_nb.add(m)
+        del self.vhome[v]
+        self.mhome[m] = bid
+        return m
+
+    def merge_pair(self, h1: int, h2: int) -> int:
+        """Contract the marked edge h1-h2, fusing its two blocks into one."""
+        b1 = self.mhome.pop(h1)
+        b2 = self.mhome.pop(h2)
+        del self.partner[h1]
+        del self.partner[h2]
+        merged = self.badj.pop(b1)
+        merged.update(self.badj.pop(b2))
+        _contract(merged, h1, h2)
+        return self.add_block(merged)
+
+    def violation(self, h1: int, h2: int) -> str | None:
+        """`canonical_violation` of the marked edge h1-h2 in its current blocks."""
+        k1, c1 = _classify_adj(self.badj[self.mhome[h1]])
+        k2, c2 = _classify_adj(self.badj[self.mhome[h2]])
+        return canonical_violation(k1, c1, h1, k2, c2, h2)
+
+    def refine_block(self, bid: int, side: Iterable[int]) -> tuple[int, int]:
+        """Split one block along a split of its block graph."""
+        adj = self.badj[bid]
+        side_set = set(side)
+        rest = set(adj) - side_set
+        if side_set - set(adj):
+            raise NotASplit("side is not a subset of the block")
+        if not _is_split_of(adj, side_set, rest):
+            raise NotASplit(f"{sorted(side_set)} is not a split of block {bid}")
+        hx = self.fresh_marker()
+        hy = self.fresh_marker()
+        ax = {v: adj[v] & side_set for v in side_set}
+        fx = {v for v in side_set if adj[v] & rest}
+        ax[hx] = fx
+        for v in fx:
+            ax[v].add(hx)
+        ay = {v: adj[v] & rest for v in rest}
+        fy = {v for v in rest if adj[v] & side_set}
+        ay[hy] = fy
+        for v in fy:
+            ay[v].add(hy)
+        del self.badj[bid]
+        b1 = self.add_block(ax)
+        b2 = self.add_block(ay)
+        self.pair(hx, hy)
+        return b1, b2
+
+    def freeze(self, origin: Graph) -> Decomposition:
+        blocks = []
+        for bid in sorted(self.badj):
+            adj = self.badj[bid]
+            kind, centre = _classify_adj(adj)
+            edges = sorted((u, v) for u in adj for v in adj[u] if u < v)  # adj is symmetric
+            blocks.append(Block(bid, tuple(sorted(adj)), tuple(edges), kind, centre))
+        return _decomposition(blocks, self.mhome, self.partner, self.vhome, origin)
+
+
+def refine(graph: Graph, side: Iterable[int]) -> tuple[Block, Block]:
+    """Split a block graph along a split of its vertex set.
+
+    Returns the two sides as blocks carrying fresh partnered markers -1 (on
+    the side) and -2 (on the rest); each marker is adjacent to exactly the
+    vertices with neighbours across the split.  Raises InvalidVertex on a
+    vertex outside the graph and NotASplit when the side is no split.
+    """
+    side_set = _graph_side(graph, side)
+    builder = DecompositionBuilder()
+    bid = builder.add_block({v: set(graph.adj[v]) for v in range(graph.n)})
+    bx, by = builder.refine_block(bid, side_set)
+    frozen = builder.freeze(graph)
+    return frozen.block(bx), frozen.block(by)
+
+
+def contract_blocks(blocks: Iterable[Block], pairs: Iterable[tuple[int, int]]) -> dict[int, frozenset[int]]:
+    """Contract marker pairs across blocks; returns the joined adjacency."""
+    adj: dict[int, set[int]] = {}
+    for blk in blocks:
+        for v, nb in blk.adj.items():
+            if v in adj:
+                raise MalformedDecomposition(f"vertex {v} appears in two blocks")
+            adj[v] = set(nb)
+    for h1, h2 in pairs:
+        if h1 not in adj or h2 not in adj:
+            raise MalformedDecomposition(f"marker pair ({h1},{h2}) missing from blocks")
+        _contract(adj, h1, h2)
+    return {v: frozenset(nb) for v, nb in adj.items()}
+
+
+def recompose(decomposition: Decomposition) -> Graph:
+    """Contract every marked edge and rebuild the original graph."""
+    adj = contract_blocks(decomposition.blocks, decomposition.marker_pairs)
+    if any(v < 0 for v in adj):
+        raise MalformedDecomposition("unpaired marker survived recomposition")
+    if set(adj) != set(range(decomposition.origin.n)):
+        raise MalformedDecomposition("recomposition changed the vertex set")
+    edges = [(u, v) for u in adj for v in adj[u] if u < v]
+    return Graph(decomposition.origin.n, edges, labels=decomposition.origin.labels)
 
 
 # -- top-down canonical decomposition ---------------------------------------------
-
-
-def _block_strong_splits(adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    splits = list(block_splits(adj))
-    universe = frozenset(adj)
-    strong = []
-    for s in splits:
-        t = universe - s
-        clear = True
-        for s2 in splits:
-            if s2 == s:
-                continue
-            t2 = universe - s2
-            if (s & s2) and (s & t2) and (t & s2) and (t & t2):
-                clear = False
-                break
-        if clear:
-            strong.append(s)
-    return strong
 
 
 def brute_canonical_decomposition(graph: Graph) -> Decomposition:
@@ -301,6 +498,160 @@ def reference_canonical_decomposition_dh(graph: Graph, seq: PruningSequence | No
     for step in steps[2:]:
         _insert_vertex(builder, step.kind, step.removed, step.anchor)
     return builder.freeze(graph)
+
+
+# -- checking a decomposition --------------------------------------------------------
+
+_PRIME_CHECK_LIMIT = 16
+
+
+def validate_canonical(decomposition: Decomposition) -> list[tuple]:
+    """Structured violations of the canonical-decomposition conditions.
+
+    Empty iff every block is a clique (>= 3), star (>= 3) or prime, no two
+    clique blocks are adjacent, adjacent star blocks are oriented
+    consistently, every marked edge is an isthmus of the block system, and
+    recomposition returns exactly the original graph.  A prime block is
+    searched for a split only up to 16 vertices (`_PRIME_CHECK_LIMIT`); a
+    larger one is not, since the search tries every bipartition.  A marker
+    that its home block does not hold, or whose pairing is broken, is
+    reported as ("malformed", reason) and ends the check.
+    """
+    issues: list[tuple] = []
+    d = decomposition
+    held = {v: blk.id for blk in d.blocks for v in blk.marker_ids}
+    for m in d.markers:
+        if held.get(m.id) != m.home:
+            issues.append(("malformed", f"marker {m.id} is not in its home block {m.home}"))
+            return issues
+    by_id = {m.id: m for m in d.markers}
+    for m in d.markers:
+        p = by_id.get(m.partner)
+        if p is None or p.partner != m.id:
+            issues.append(("malformed", f"marker {m.id} pairing is not an involution"))
+            return issues
+        if p.home == m.home:
+            issues.append(("malformed", f"markers {m.id},{p.id} share a block"))
+            return issues
+    try:
+        rebuilt = recompose(d)
+    except MalformedDecomposition as exc:
+        issues.append(("malformed", str(exc)))
+        return issues
+    if rebuilt != d.origin:
+        issues.append(("recompose-mismatch",))
+    multi_block = len(d.blocks) > 1
+    for blk in d.blocks:
+        kind, centre = _classify_adj(blk.adj)
+        if (kind, centre) != (blk.kind, blk.centre):
+            issues.append(("kind-mismatch", blk.id))
+        if multi_block and len(blk.vertices) < 3:
+            issues.append(("undersized-block", blk.id))
+        if kind == "prime" and 4 <= len(blk.vertices) <= _PRIME_CHECK_LIMIT:
+            if next(block_splits(blk.adj), None) is not None:
+                issues.append(("splittable-prime", blk.id))
+    for m1, m2 in d.marker_pairs:
+        b1 = d.block(d.home_of(m1))
+        b2 = d.block(d.home_of(m2))
+        violation = canonical_violation(b1.kind, b1.centre, m1, b2.kind, b2.centre, m2)
+        if violation:
+            issues.append((violation, b1.id, b2.id))
+    # marked edges must be isthmuses of the block system
+    sd_adj: dict[int, set[int]] = {}
+    for blk in d.blocks:
+        for v, nb in blk.adj.items():
+            sd_adj.setdefault(v, set()).update(nb)
+    for m1, m2 in d.marker_pairs:
+        sd_adj[m1].add(m2)
+        sd_adj[m2].add(m1)
+    bridges = _bridges(sd_adj)
+    for m1, m2 in d.marker_pairs:
+        if (m1, m2) not in bridges:
+            issues.append(("marked-edge-not-isthmus", m1, m2))
+    return issues
+
+
+def _bridges(adj: Mapping[int, Collection[int]]) -> set[tuple[int, int]]:
+    """The isthmuses (bridges) of a simple graph, as (min, max) pairs.
+
+    One iterative depth-first search in O(n + m): the tree edge from p to x
+    is a bridge iff no back edge from x's subtree reaches p or above it,
+    i.e. low[x] > disc[p].
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    out: set[tuple[int, int]] = set()
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            x, parent, todo = stack[-1]
+            for y in todo:
+                if y == parent:
+                    continue
+                if y in disc:
+                    low[x] = min(low[x], disc[y])
+                else:
+                    disc[y] = low[y] = len(disc)
+                    stack.append((y, x, iter(adj[y])))
+                    break
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[x])
+                    if low[x] > disc[parent]:
+                        out.add((min(x, parent), max(x, parent)))
+    return out
+
+
+def decompositions_isomorphic(a: Decomposition, b: Decomposition) -> bool:
+    """Isomorphism of block systems fixing every original vertex pointwise.
+
+    Original vertices pin down every marker, so no search is needed: each
+    side names its markers from its split tree (`_renamed_blocks`), and the
+    two are isomorphic iff their renamed blocks are the same.  O(size of the
+    block systems).  Raises MalformedDecomposition when the blocks of either
+    do not form a tree, or when two of its marked edges split off the same
+    original vertices.
+    """
+    return a.origin == b.origin and _renamed_blocks(a) == _renamed_blocks(b)
+
+
+def _renamed_blocks(d: Decomposition) -> set[tuple[frozenset, frozenset]]:
+    """The blocks of d, as vertex and edge sets, with each marker renamed
+    after its marked edge.
+
+    Rooted at the block holding vertex 0, a marked edge is named by the
+    count and the least id of the original vertices beyond it, with "down"
+    for its marker in the nearer block and "up" for the one in the farther
+    block.  An isomorphism that fixes the original vertices keeps the root
+    and every edge's far side, so it keeps these names.
+    """
+    tree = split_tree(d)
+    # breadth-first from the root: of two adjacent blocks, the nearer comes first
+    rank = {x: i for i, x in enumerate(_reach(tree, d.block_of_real[0], set()))}
+    count = {x: len(tree.node(x).own_vertices) for x in rank}
+    least = {x: min(tree.node(x).own_vertices, default=d.origin.n) for x in rank}
+    pairs = [sorted(pair, key=lambda m: rank[d.home_of(m)]) for pair in d.marker_pairs]
+    name: dict[int, tuple[int, int, str]] = {}
+    # farthest first, so that a block's count and least id are whole before
+    # the edge above it is named
+    for near, far in sorted(pairs, key=lambda pair: rank[d.home_of(pair[1])], reverse=True):
+        u, v = d.home_of(near), d.home_of(far)
+        name[near], name[far] = (count[v], least[v], "down"), (count[v], least[v], "up")
+        count[u] += count[v]
+        least[u] = min(least[u], least[v])
+    if len(set(name.values())) < len(name):
+        raise MalformedDecomposition("two marked edges split off the same original vertices")
+    return {
+        (
+            frozenset([name.get(x, x) for x in blk.vertices]),
+            frozenset([frozenset((name.get(x, x), name.get(y, y))) for x, y in blk.edges]),
+        )
+        for blk in d.blocks
+    }
 
 
 # -- local complementation orbits and vertex-minors --------------------------------

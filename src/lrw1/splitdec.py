@@ -25,8 +25,13 @@ whole build, its checks included, takes O(n log n) time and O(n) memory,
 independent of the number of edges.  That holds for a sequence that
 `pruning_sequence` built on the same graph object, which it checked step by
 step as it went; any other sequence is first checked by `replay_pruning`, in
-O(n + m).  The adjacency-set `DecompositionBuilder` serves `refine` and the
-brute-force oracles, where blocks can be prime.
+O(n + m).
+
+This module holds only what recognition and `decompose` run: the blocks, the
+DH build, the split tree and the DOT export.  Checking a decomposition
+(canonicity, recomposition, comparison, splits of a block) and the
+adjacency-set builder for blocks that may be prime are brute-force
+references, and live in `oracle`.
 """
 
 from __future__ import annotations
@@ -34,54 +39,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Mapping
 
 from .dh import PruningSequence, replay_pruning
-from .errors import (
-    InvalidVertex,
-    MalformedDecomposition,
-    NotAPath,
-    NotASplit,
-    NotATreeEdge,
-    NotDH,
-)
-from .gf2 import cut_rows, cutrank_of_cut, rank_of_rows
+from .errors import MalformedDecomposition, NotATreeEdge, NotDH
 from .graph import Graph
 
 
-# -- splits ------------------------------------------------------------------
-
-
-def is_split(graph: Graph, side: Iterable[int]) -> bool:
-    """True iff {side, rest} has both sides of size >= 2 and cut rank 1."""
-    side_set = set(side)
-    for v in side_set:
-        if not 0 <= v < graph.n:
-            raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
-    if len(side_set) < 2 or graph.n - len(side_set) < 2:
-        return False
-    return cutrank_of_cut(graph, side_set) == 1
-
-
-def block_splits(adj: Mapping[int, Iterable[int]]) -> Iterator[frozenset[int]]:
-    """Every split of a block graph, as the side holding its smallest vertex.
-
-    Exhaustive over the 2^(n-1) bipartitions, so only for small blocks; the
-    sides come in the order of the bit masks over the other vertices sorted
-    by id.  A block of fewer than four vertices has no split.
-    """
-    vs = sorted(adj)
-    n = len(vs)
-    if n < 4:
-        return
-    anchor, others = vs[0], vs[1:]
-    for mask in range(1 << (n - 1)):
-        side = {anchor} | {others[i] for i in range(n - 1) if (mask >> i) & 1}
-        rest = [v for v in vs if v not in side]
-        if len(side) < 2 or len(rest) < 2:
-            continue
-        if rank_of_rows(cut_rows(adj, side, rest)) == 1:
-            yield frozenset(side)
+# -- block kinds -------------------------------------------------------------
 
 
 def _classify_adj(adj: Mapping[int, Collection[int]]) -> tuple[str, int | None]:
@@ -110,21 +75,6 @@ def canonical_violation(k1: str, c1: int | None, m1: int, k2: str, c2: int | Non
     if k1 == "star" and k2 == "star" and (c1 == m1) != (c2 == m2):
         return "star-orientation"
     return None
-
-
-def _contract(adj: dict[int, set[int]], h1: int, h2: int) -> None:
-    """Contract the marked edge h1-h2 in place: both markers go, and every
-    neighbour of one becomes adjacent to every neighbour of the other."""
-    n1 = adj.pop(h1)
-    n2 = adj.pop(h2)
-    n1.discard(h2)
-    n2.discard(h1)
-    for u in n1:
-        adj[u].discard(h1)
-        adj[u] |= n2
-    for u in n2:
-        adj[u].discard(h2)
-        adj[u] |= n1
 
 
 # -- decomposition data ------------------------------------------------------
@@ -231,112 +181,6 @@ class Decomposition:
         return tuple(sorted(pairs))
 
 
-# -- builder -----------------------------------------------------------------
-
-
-class DecompositionBuilder:
-    """Mutable block system on explicit adjacency sets, for blocks that may
-    be prime (`refine`, the oracle's top-down decomposition and its
-    reference DH build); freeze() turns it into a Decomposition."""
-
-    def __init__(self):
-        self.badj: dict[int, dict[int, set[int]]] = {}
-        self.partner: dict[int, int] = {}
-        self.mhome: dict[int, int] = {}
-        self.vhome: dict[int, int] = {}
-        self._next_block = 0
-        self._next_marker = -1
-
-    def add_block(self, adj: dict[int, set[int]]) -> int:
-        """Add a block and return its id.  The builder takes ownership of adj
-        and of its sets, so the caller must not keep or reuse them."""
-        bid = self._next_block
-        self._next_block += 1
-        self.badj[bid] = adj
-        for v in adj:
-            if v >= 0:
-                self.vhome[v] = bid
-            else:
-                self.mhome[v] = bid
-        return bid
-
-    def fresh_marker(self) -> int:
-        m = self._next_marker
-        self._next_marker -= 1
-        return m
-
-    def pair(self, a: int, b: int) -> None:
-        self.partner[a] = b
-        self.partner[b] = a
-
-    def markerize(self, bid: int, v: int) -> int:
-        """Replace original vertex v inside its block by a fresh marker."""
-        adj = self.badj[bid]
-        m = self.fresh_marker()
-        nb = adj.pop(v)
-        adj[m] = nb
-        for u in nb:
-            u_nb = adj[u]
-            u_nb.discard(v)
-            u_nb.add(m)
-        del self.vhome[v]
-        self.mhome[m] = bid
-        return m
-
-    def merge_pair(self, h1: int, h2: int) -> int:
-        """Contract the marked edge h1-h2, fusing its two blocks into one."""
-        b1 = self.mhome.pop(h1)
-        b2 = self.mhome.pop(h2)
-        del self.partner[h1]
-        del self.partner[h2]
-        merged = self.badj.pop(b1)
-        merged.update(self.badj.pop(b2))
-        _contract(merged, h1, h2)
-        return self.add_block(merged)
-
-    def violation(self, h1: int, h2: int) -> str | None:
-        """`canonical_violation` of the marked edge h1-h2 in its current blocks."""
-        k1, c1 = _classify_adj(self.badj[self.mhome[h1]])
-        k2, c2 = _classify_adj(self.badj[self.mhome[h2]])
-        return canonical_violation(k1, c1, h1, k2, c2, h2)
-
-    def refine_block(self, bid: int, side: Iterable[int]) -> tuple[int, int]:
-        """Split one block along a split of its block graph."""
-        adj = self.badj[bid]
-        side_set = set(side)
-        rest = set(adj) - side_set
-        if side_set - set(adj):
-            raise NotASplit("side is not a subset of the block")
-        if len(side_set) < 2 or len(rest) < 2 or rank_of_rows(cut_rows(adj, side_set, rest)) != 1:
-            raise NotASplit(f"{sorted(side_set)} is not a split of block {bid}")
-        hx = self.fresh_marker()
-        hy = self.fresh_marker()
-        ax = {v: adj[v] & side_set for v in side_set}
-        fx = {v for v in side_set if adj[v] & rest}
-        ax[hx] = fx
-        for v in fx:
-            ax[v].add(hx)
-        ay = {v: adj[v] & rest for v in rest}
-        fy = {v for v in rest if adj[v] & side_set}
-        ay[hy] = fy
-        for v in fy:
-            ay[v].add(hy)
-        del self.badj[bid]
-        b1 = self.add_block(ax)
-        b2 = self.add_block(ay)
-        self.pair(hx, hy)
-        return b1, b2
-
-    def freeze(self, origin: Graph) -> Decomposition:
-        blocks = []
-        for bid in sorted(self.badj):
-            adj = self.badj[bid]
-            kind, centre = _classify_adj(adj)
-            edges = sorted((u, v) for u in adj for v in adj[u] if u < v)  # adj is symmetric
-            blocks.append(Block(bid, tuple(sorted(adj)), tuple(edges), kind, centre))
-        return _decomposition(blocks, self.mhome, self.partner, self.vhome, origin)
-
-
 def _decomposition(
     blocks: list[Block],
     mhome: Mapping[int, int],
@@ -358,54 +202,6 @@ def _decomposition(
     if sorted(reals) != list(range(origin.n)):
         raise MalformedDecomposition("blocks do not partition the original vertices")
     return Decomposition(tuple(blocks), tuple(markers), origin)
-
-
-# -- refinement and recomposition (graph-level API) ---------------------------
-
-
-def refine(graph: Graph, side: Iterable[int]) -> tuple[Block, Block]:
-    """Split a block graph along a split of its vertex set.
-
-    Returns the two sides as blocks carrying fresh partnered markers -1 (on
-    the side) and -2 (on the rest); each marker is adjacent to exactly the
-    vertices with neighbours across the split.
-    """
-    side_set = set(side)
-    if not is_split(graph, side_set):  # raises InvalidVertex on a foreign vertex
-        raise NotASplit(f"{sorted(side_set)} is not a split")
-    builder = DecompositionBuilder()
-    bid = builder.add_block({v: set(graph.adj[v]) for v in range(graph.n)})
-    builder.refine_block(bid, side_set)
-    frozen = builder.freeze(graph)
-    bx = next(b for b in frozen.blocks if -1 in b.vertices)
-    by = next(b for b in frozen.blocks if -2 in b.vertices)
-    return bx, by
-
-
-def contract_blocks(blocks: Iterable[Block], pairs: Iterable[tuple[int, int]]) -> dict[int, frozenset[int]]:
-    """Contract marker pairs across blocks; returns the joined adjacency."""
-    adj: dict[int, set[int]] = {}
-    for blk in blocks:
-        for v, nb in blk.adj.items():
-            if v in adj:
-                raise MalformedDecomposition(f"vertex {v} appears in two blocks")
-            adj[v] = set(nb)
-    for h1, h2 in pairs:
-        if h1 not in adj or h2 not in adj:
-            raise MalformedDecomposition(f"marker pair ({h1},{h2}) missing from blocks")
-        _contract(adj, h1, h2)
-    return {v: frozenset(nb) for v, nb in adj.items()}
-
-
-def recompose(decomposition: Decomposition) -> Graph:
-    """Contract every marked edge and rebuild the original graph."""
-    adj = contract_blocks(decomposition.blocks, decomposition.marker_pairs)
-    if any(v < 0 for v in adj):
-        raise MalformedDecomposition("unpaired marker survived recomposition")
-    if set(adj) != set(range(decomposition.origin.n)):
-        raise MalformedDecomposition("recomposition changed the vertex set")
-    edges = [(u, v) for u in adj for v in adj[u] if u < v]
-    return Graph(decomposition.origin.n, edges, labels=decomposition.origin.labels)
 
 
 # -- canonical decomposition of distance-hereditary graphs --------------------
@@ -584,210 +380,7 @@ def _reach(tree: SplitTree, start: int, blocked: set[int]) -> list[int]:
     return out
 
 
-# -- canonicity validation -----------------------------------------------------
-
-
-_PRIME_CHECK_LIMIT = 16
-
-
-def validate_canonical(decomposition: Decomposition) -> list[tuple]:
-    """Structured violations of the canonical-decomposition conditions.
-
-    Empty iff every block is a clique (>= 3), star (>= 3) or prime, no two
-    clique blocks are adjacent, adjacent star blocks are oriented
-    consistently, every marked edge is an isthmus of the block system, and
-    recomposition returns exactly the original graph.
-    """
-    issues: list[tuple] = []
-    d = decomposition
-    by_id = {m.id: m for m in d.markers}
-    for m in d.markers:
-        p = by_id.get(m.partner)
-        if p is None or p.partner != m.id:
-            issues.append(("malformed", f"marker {m.id} pairing is not an involution"))
-            return issues
-        if p.home == m.home:
-            issues.append(("malformed", f"markers {m.id},{p.id} share a block"))
-            return issues
-    try:
-        rebuilt = recompose(d)
-    except MalformedDecomposition as exc:
-        issues.append(("malformed", str(exc)))
-        return issues
-    if rebuilt != d.origin:
-        issues.append(("recompose-mismatch",))
-    multi_block = len(d.blocks) > 1
-    for blk in d.blocks:
-        kind, centre = _classify_adj(blk.adj)
-        if (kind, centre) != (blk.kind, blk.centre):
-            issues.append(("kind-mismatch", blk.id))
-        if multi_block and len(blk.vertices) < 3:
-            issues.append(("undersized-block", blk.id))
-        if kind == "prime" and 4 <= len(blk.vertices) <= _PRIME_CHECK_LIMIT:
-            if next(block_splits(blk.adj), None) is not None:
-                issues.append(("splittable-prime", blk.id))
-    for m1, m2 in d.marker_pairs:
-        b1 = d.block(d.home_of(m1))
-        b2 = d.block(d.home_of(m2))
-        violation = canonical_violation(b1.kind, b1.centre, m1, b2.kind, b2.centre, m2)
-        if violation:
-            issues.append((violation, b1.id, b2.id))
-    # marked edges must be isthmuses of the block system
-    sd_adj: dict[int, set[int]] = {}
-    for blk in d.blocks:
-        for v, nb in blk.adj.items():
-            sd_adj.setdefault(v, set()).update(nb)
-    for m1, m2 in d.marker_pairs:
-        sd_adj[m1].add(m2)
-        sd_adj[m2].add(m1)
-    bridges = _bridges(sd_adj)
-    for m1, m2 in d.marker_pairs:
-        if (m1, m2) not in bridges:
-            issues.append(("marked-edge-not-isthmus", m1, m2))
-    return issues
-
-
-def _bridges(adj: Mapping[int, Collection[int]]) -> set[tuple[int, int]]:
-    """The isthmuses (bridges) of a simple graph, as (min, max) pairs.
-
-    One iterative depth-first search in O(n + m): the tree edge from p to x
-    is a bridge iff no back edge from x's subtree reaches p or above it,
-    i.e. low[x] > disc[p].
-    """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: set[tuple[int, int]] = set()
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            x, parent, todo = stack[-1]
-            for y in todo:
-                if y == parent:
-                    continue
-                if y in disc:
-                    low[x] = min(low[x], disc[y])
-                else:
-                    disc[y] = low[y] = len(disc)
-                    stack.append((y, x, iter(adj[y])))
-                    break
-            else:
-                stack.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[x])
-                    if low[x] > disc[parent]:
-                        out.add((min(x, parent), max(x, parent)))
-    return out
-
-
-# -- comparison and export -----------------------------------------------------
-
-
-def decompositions_isomorphic(a: Decomposition, b: Decomposition) -> bool:
-    """Isomorphism of block systems fixing every original vertex pointwise.
-
-    Original vertices anchor their blocks, so only markers need matching; a
-    backtracking search maps markers preserving solid adjacency, marker
-    partnering and block membership.
-    """
-    if a.origin != b.origin:
-        return False
-    if len(a.blocks) != len(b.blocks) or len(a.markers) != len(b.markers):
-        return False
-    bmap: dict[int, int] = {}
-    for x in range(a.origin.n):
-        ba, bb = a.block_of_real[x], b.block_of_real[x]
-        if bmap.setdefault(ba, bb) != bb:
-            return False
-    for ba, bb in bmap.items():
-        if a.block(ba).own_vertices != b.block(bb).own_vertices:
-            return False
-    sadj_a = {blk.id: blk.adj for blk in a.blocks}
-    sadj_b = {blk.id: blk.adj for blk in b.blocks}
-
-    def marker_sig(d: Decomposition, sadj, mid: int) -> tuple:
-        blk = d.block(d.home_of(mid))
-        nb = sadj[blk.id][mid]
-        reals = frozenset(x for x in nb if x >= 0)
-        return (
-            reals,
-            sum(1 for x in nb if x < 0),
-            blk.kind,
-            len(blk.vertices),
-            blk.centre == mid,
-        )
-
-    ms_a = [m.id for m in a.markers]
-    # the markers of b with each signature, in the order of b's marker list
-    by_sig: dict[tuple, list[int]] = {}
-    for m in b.markers:
-        by_sig.setdefault(marker_sig(b, sadj_b, m.id), []).append(m.id)
-    mmap: dict[int, int] = {}
-    imap: dict[int, int] = {}
-
-    def consistent(m: int, t: int) -> bool:
-        ha, hb = a.home_of(m), b.home_of(t)
-        if bmap.get(ha, hb) != hb:
-            return False
-        pa = a.partner_of(m)
-        pb = b.partner_of(t)
-        if pa in mmap and mmap[pa] != pb:
-            return False
-        if pb in imap and imap[pb] != pa:
-            return False
-        nb_a = sadj_a[ha][m]
-        nb_b = sadj_b[hb][t]
-        for x in nb_a:
-            if x >= 0:
-                if x not in nb_b:
-                    return False
-            elif x in mmap and mmap[x] not in nb_b:
-                return False
-        for y in nb_b:
-            if y >= 0:
-                if y not in nb_a:
-                    return False
-            elif y in imap and imap[y] not in nb_a:
-                return False
-        return True
-
-    # frames[i]: the index, among the markers of b with ms_a[i]'s signature,
-    # of the target that ms_a[i] holds, and whether ms_a[i]'s block was mapped
-    # before it; a depth-first search in the order of b's markers, kept on
-    # this list so that long decompositions do not exhaust the interpreter's
-    # recursion limit
-    cands = [by_sig.get(marker_sig(a, sadj_a, m), []) for m in ms_a]
-    frames: list[tuple[int, bool]] = []
-    start = 0
-    while len(frames) < len(ms_a):
-        m = ms_a[len(frames)]
-        ha = a.home_of(m)
-        targets = cands[len(frames)]
-        for j in range(start, len(targets)):
-            t = targets[j]
-            if t in imap or not consistent(m, t):
-                continue
-            had_block = ha in bmap
-            mmap[m] = t
-            imap[t] = m
-            if not had_block:
-                bmap[ha] = b.home_of(t)
-            frames.append((j, had_block))
-            start = 0
-            break
-        else:
-            # no target left for m: withdraw the previous marker's and try its next
-            if not frames:
-                return False
-            start, had_block = frames.pop()
-            start += 1
-            m = ms_a[len(frames)]
-            del imap[mmap.pop(m)]
-            if not had_block:
-                del bmap[a.home_of(m)]
-    return True
+# -- export --------------------------------------------------------------------
 
 
 def decomposition_to_dot(decomposition: Decomposition) -> str:

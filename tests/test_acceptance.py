@@ -30,13 +30,8 @@ from lrw1.recognizer import (
     recognize,
     verify_certificate,
 )
-from lrw1.splitdec import (
-    canonical_decomposition_dh,
-    decompositions_isomorphic,
-    recompose,
-    split_tree,
-    validate_canonical,
-)
+from lrw1.oracle import decompositions_isomorphic, recompose, validate_canonical
+from lrw1.splitdec import canonical_decomposition_dh, split_tree
 
 
 def _report(k, ok, detail):

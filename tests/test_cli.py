@@ -204,6 +204,14 @@ def test_crosscheck_checks_every_fixture_file_before_the_sweep(monkeypatch, tmp_
     assert "missing fixture file" in err and "n4.g6" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_crosscheck_refuses_a_sweep_over_nothing(max_n, capsys):
+    assert cli.main(["crosscheck", "--max-n", max_n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--max-n must be at least 1" in err
+
+
 def test_crosscheck_detects_corrupted_recognizer(monkeypatch, capsys):
     # mutation probe: a recognizer that accepts everything must be caught
     from lrw1 import recognizer

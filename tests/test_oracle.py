@@ -27,7 +27,7 @@ from lrw1.named import (
     spider_graph,
     star_graph,
 )
-from lrw1.splitdec import validate_canonical
+from lrw1.oracle import validate_canonical
 
 
 # -- exact linear rank-width ------------------------------------------------------

@@ -14,21 +14,23 @@ from lrw1.errors import InvalidSequence, MalformedDecomposition, NotAPath, NotAS
 from lrw1.gf2 import cutrank_of_cut
 from lrw1.graph import Graph, connected_components, serialize_graph
 from lrw1.named import caterpillar_graph, complete_graph, cycle_graph, net_graph, path_graph
+from lrw1.oracle import (
+    contract_blocks,
+    decompositions_isomorphic,
+    is_split,
+    recompose,
+    refine,
+    validate_canonical,
+)
 from lrw1.splitdec import (
     Block,
     Decomposition,
     Marker,
     canonical_decomposition_dh,
-    contract_blocks,
     decomposition_to_dot,
-    decompositions_isomorphic,
-    is_split,
-    recompose,
-    refine,
     side_vertices,
     split_tree,
     split_tree_to_dot,
-    validate_canonical,
 )
 
 
@@ -189,6 +191,48 @@ def test_long_path_decomposition_is_isomorphic_to_itself():
     assert decompositions_isomorphic(d, d)
 
 
+def _refined(g, side):
+    builder = oracle.DecompositionBuilder()
+    builder.refine_block(builder.add_block({v: set(g.adj[v]) for v in range(g.n)}), side)
+    return builder.freeze(g)
+
+
+def test_single_refinements_compare_equal_only_along_the_same_split():
+    for g in [path_graph(5), complete_graph(4)]:
+        splits = oracle.brute_splits(g)
+        assert len(splits) >= 2
+        for s in splits:
+            for t in splits:
+                assert decompositions_isomorphic(_refined(g, s), _refined(g, t)) == (s == t), (g, s, t)
+
+
+def test_comparison_rejects_a_block_system_that_is_not_a_tree():
+    # blocks 0 and 1 are joined by two marker pairs
+    blocks = (
+        Block(0, (-3, -1, 0), ((-3, -1), (-3, 0), (-1, 0)), "clique", None),
+        Block(1, (-4, -2, 1), ((-4, -2), (-4, 1), (-2, 1)), "clique", None),
+    )
+    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    d = Decomposition(blocks, markers, Graph(2, [(0, 1)]))
+    with pytest.raises(MalformedDecomposition, match="tree"):
+        decompositions_isomorphic(d, d)
+
+
+def test_comparison_rejects_two_marked_edges_splitting_off_the_same_vertices():
+    # P4 as {0, 1} | two markers | {2, 3}: both marked edges split off {2, 3},
+    # so neither names its markers apart from the other
+    blocks = (
+        Block(0, (-1, 0, 1), ((-1, 1), (0, 1)), "star", 1),
+        Block(1, (-3, -2), ((-3, -2),), "prime", None),
+        Block(2, (-4, 2, 3), ((-4, 2), (2, 3)), "star", 2),
+    )
+    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 1, -4), Marker(-4, 2, -3))
+    d = Decomposition(blocks, markers, path_graph(4))
+    assert recompose(d) == path_graph(4)
+    with pytest.raises(MalformedDecomposition, match="split off the same"):
+        decompositions_isomorphic(d, d)
+
+
 def test_dh_decompositions_have_no_prime_blocks():
     for n in range(1, 25, 4):
         g = oracle.random_dh_graph(max(n, 4), seed=n)
@@ -304,6 +348,18 @@ def test_validate_flags_splittable_prime():
     d = Decomposition((blk,), (), c4)
     codes = [v[0] for v in validate_canonical(d)]
     assert "splittable-prime" in codes
+
+
+def test_validate_reports_a_marker_outside_its_home_block():
+    # a home naming no block, and a home naming the block of the partner
+    g = path_graph(4)
+    d = canonical_decomposition_dh(g, pruning_sequence(g))
+    other = next(b.id for b in d.blocks if b.id != d.home_of(-1))
+    for home in [7, other]:
+        markers = tuple(dataclasses.replace(m, home=home) if m.id == -1 else m for m in d.markers)
+        assert validate_canonical(dataclasses.replace(d, markers=markers)) == [
+            ("malformed", f"marker -1 is not in its home block {home}")
+        ]
 
 
 # -- exports ----------------------------------------------------------------------------------
