@@ -15,7 +15,7 @@ from .dh import (
     pruning_sequence,
     replay_pruning,
 )
-from .gf2 import Gf2Matrix, cut_matrix, cutrank_of_cut, cutrank_of_ordering, rank, rank_of_rows
+from .gf2 import cutrank_of_cut, cutrank_of_ordering, rank_of_rows
 from .graph import (
     Graph,
     canonical_form,
@@ -53,7 +53,6 @@ from .splitdec import (
     Decomposition,
     Marker,
     SplitTree,
-    TreeNode,
     canonical_decomposition_dh,
     decomposition_to_dot,
     side_vertices,
@@ -66,7 +65,6 @@ __all__ = [
     "Certificate",
     "Decomposition",
     "DecompositionBuilder",
-    "Gf2Matrix",
     "Graph",
     "Marker",
     "ObstructionCertificate",
@@ -74,13 +72,11 @@ __all__ = [
     "PruningSequence",
     "PruningStep",
     "SplitTree",
-    "TreeNode",
     "VerificationResult",
     "canonical_decomposition_dh",
     "canonical_form",
     "connected_components",
     "contract_blocks",
-    "cut_matrix",
     "cutrank_of_cut",
     "cutrank_of_ordering",
     "decomposition_to_dot",
@@ -97,7 +93,6 @@ __all__ = [
     "parse_graph",
     "pivot",
     "pruning_sequence",
-    "rank",
     "rank_of_rows",
     "recognize",
     "recompose",

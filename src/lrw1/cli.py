@@ -203,10 +203,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_lrw_exact(args) -> int:
     graph = _load_graph(args)
-    guard = min(args.max_n, 10)
-    if graph.n > guard:
-        print(f"exact width is capped at {guard} vertices; got n={graph.n}", file=sys.stderr)
-        return EXIT_ERROR
     value, order = oracle.brute_lrw_ordering(graph)
     print(f"linear rank-width = {value}")
     print("optimal ordering: " + " ".join(str(graph.labels[v]) for v in order))
@@ -270,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lrw-exact", help="exact linear rank-width by exhaustion (small graphs)")
     add_input(p)
-    p.add_argument("--max-n", type=int, default=10, help="refuse graphs larger than this")
     p.set_defaults(func=_cmd_lrw_exact)
 
     p = sub.add_parser("crosscheck", help="sweep the fixture corpus against the brute-force oracle")

@@ -1,15 +1,14 @@
-"""GF(2) matrices on bit-packed integer rows, plus graph cut ranks.
+"""GF(2) rank of bit-packed integer rows, and the cut ranks of a graph.
 
-The cut rank of one cut is the rank of its bit-row matrix.  The width of a
-vertex ordering is scored incrementally instead: one row basis over the
-suffix, held as vertex sets, follows the ordering, so an ordering of width
-at most 1 is checked in O(n + m).
+The cut rank of one cut is the rank of its bit rows (`cut_rows`).  The
+width of a vertex ordering is scored incrementally instead: one row basis
+over the suffix, held as vertex sets, follows the ordering, so an ordering
+of width at most 1 is checked in O(n + m).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 from .errors import InvalidVertex, NotAPermutation
 from .graph import Graph
@@ -27,41 +26,6 @@ def rank_of_rows(rows: Iterable[int]) -> int:
                 break
             row ^= p
     return len(pivots)
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Binary matrix whose rows and columns are indexed by vertex ids."""
-
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    rows: tuple[int, ...]  # bit i of rows[r] is the entry (r, col_labels[i])
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.row_labels):
-            raise ValueError("row count must match row labels")
-        width = len(self.col_labels)
-        for r in self.rows:
-            if r < 0 or r >> width:
-                raise ValueError("row bits exceed column count")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_labels), len(self.col_labels))
-
-    def entry(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
-
-    def transpose(self) -> "Gf2Matrix":
-        rows = tuple([
-            sum(((self.rows[r] >> c) & 1) << r for r in range(len(self.rows)))
-            for c in range(len(self.col_labels))
-        ])
-        return Gf2Matrix(self.col_labels, self.row_labels, rows)
-
-
-def rank(matrix: Gf2Matrix) -> int:
-    return rank_of_rows(matrix.rows)
 
 
 def cut_rows(
@@ -87,22 +51,14 @@ def cut_rows(
     return rows
 
 
-def cut_matrix(graph: Graph, side: Iterable[int]) -> Gf2Matrix:
-    """Bipartite adjacency matrix between a vertex set and its complement.
-
-    Rows are the side in ascending id order, columns the complement likewise.
-    """
+def cutrank_of_cut(graph: Graph, side: Iterable[int]) -> int:
+    """GF(2) rank of the adjacency between a vertex set and its complement."""
     side_set = set(side)
     for v in side_set:
         if not 0 <= v < graph.n:
             raise InvalidVertex(f"vertex {v} not in graph of order {graph.n}")
-    rows_lab = tuple(sorted(side_set))
-    cols_lab = tuple([v for v in range(graph.n) if v not in side_set])
-    return Gf2Matrix(rows_lab, cols_lab, tuple(cut_rows(graph.adj, rows_lab, cols_lab)))
-
-
-def cutrank_of_cut(graph: Graph, side: Iterable[int]) -> int:
-    return rank(cut_matrix(graph, side))
+    rest = [v for v in range(graph.n) if v not in side_set]
+    return rank_of_rows(cut_rows(graph.adj, side_set, rest))
 
 
 def cutrank_of_ordering(graph: Graph, order: Sequence[int]) -> int:

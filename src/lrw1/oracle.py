@@ -631,9 +631,10 @@ def _renamed_blocks(d: Decomposition) -> set[tuple[frozenset, frozenset]]:
     """
     tree = split_tree(d)
     # breadth-first from the root: of two adjacent blocks, the nearer comes first
-    rank = {x: i for i, x in enumerate(_reach(tree, d.block_of_real[0], set()))}
-    count = {x: len(tree.node(x).own_vertices) for x in rank}
-    least = {x: min(tree.node(x).own_vertices, default=d.origin.n) for x in rank}
+    root = next(blk.id for blk in d.blocks if 0 in blk.vertices)
+    rank = {x: i for i, x in enumerate(_reach(tree, root, set()))}
+    count = {blk.id: len(blk.own_vertices) for blk in d.blocks}
+    least = {blk.id: min(blk.own_vertices, default=d.origin.n) for blk in d.blocks}
     pairs = [sorted(pair, key=lambda m: rank[d.home_of(m)]) for pair in d.marker_pairs]
     name: dict[int, tuple[int, int, str]] = {}
     # farthest first, so that a block's count and least id are whole before

@@ -23,6 +23,7 @@ from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_
 from .splitdec import (
     Decomposition,
     SplitTree,
+    _reach,
     canonical_decomposition_dh,
     side_vertices,
     split_tree,
@@ -67,28 +68,19 @@ _OK = VerificationResult(True)
 # -- ordering construction -----------------------------------------------------------
 
 
-def ordering_from_path_tree(tree: SplitTree, decomposition: Decomposition) -> tuple[int, ...]:
+def ordering_from_path_tree(tree: SplitTree) -> tuple[int, ...]:
     """Concatenate the blocks of a path-shaped split tree end to end.
 
-    Within a block the vertices are listed in ascending id; the path starts
-    at the endpoint holding the smaller minimum vertex.  Every prefix cut of
-    the result is a split (or trivially small), so its cut rank is <= 1.
+    The walk starts at the end block whose least original vertex is
+    smallest, and lists each block's original vertices in ascending id.
+    Every prefix cut of the result is a split (or trivially small), so its
+    cut rank is <= 1.
     """
     if not tree.is_path():
         raise NotAPath("split tree has a node of degree 3 or more")
-    if len(tree.nodes) == 1:
-        return tuple(sorted(tree.nodes[0].own_vertices))
-    ends = [n.id for n in tree.nodes if tree.degree(n.id) == 1]
-    start = min(ends, key=lambda nid: min(tree.node(nid).own_vertices))
-    order: list[int] = []
-    prev, cur = None, start
-    while True:
-        order.extend(sorted(tree.node(cur).own_vertices))
-        nxt = [x for x in tree.neighbours(cur) if x != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-    return tuple(order)
+    ends = [n for n in tree.nodes if tree.degree(n.id) <= 1]
+    start = min(ends, key=lambda n: n.own_vertices[0])
+    return tuple([v for nid in _reach(tree, start.id, set()) for v in tree.node(nid).own_vertices])
 
 
 # -- dh_star3 obstructions: one hub and leg table ------------------------------------------
@@ -273,7 +265,7 @@ def _recognize_connected(graph: Graph):
     decomposition = canonical_decomposition_dh(graph, seq)
     tree = split_tree(decomposition)
     if tree.is_path():
-        return ordering_from_path_tree(tree, decomposition)
+        return ordering_from_path_tree(tree)
     node = min(n.id for n in tree.nodes if tree.degree(n.id) >= 3)
     vs = extract_lrw1_obstruction(graph, tree, decomposition, node)
     return ObstructionCertificate(

@@ -168,14 +168,6 @@ class Decomposition:
         return self._marker_by_id[mid].home
 
     @cached_property
-    def block_of_real(self) -> dict[int, int]:
-        out = {}
-        for b in self.blocks:
-            for v in b.own_vertices:
-                out[v] = b.id
-        return out
-
-    @cached_property
     def marker_pairs(self) -> tuple[tuple[int, int], ...]:
         pairs = {tuple(sorted((m.id, m.partner))) for m in self.markers}
         return tuple(sorted(pairs))
@@ -305,20 +297,15 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    id: int  # equals the block id
-    kind: str
-    centre: int | None
-    own_vertices: tuple[int, ...]  # original vertices living in the block
-
-
-@dataclass(frozen=True)
 class SplitTree:
-    nodes: tuple[TreeNode, ...]
+    """The block system with each block contracted to one node: `nodes` is
+    the decomposition's own `blocks` tuple, and a node's id is its block's."""
+
+    nodes: tuple[Block, ...]
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _by_id(self) -> dict[int, TreeNode]:
+    def _by_id(self) -> dict[int, Block]:
         return {n.id: n for n in self.nodes}
 
     @cached_property
@@ -329,7 +316,7 @@ class SplitTree:
             nbs[v].append(u)
         return {k: tuple(sorted(v)) for k, v in nbs.items()}
 
-    def node(self, nid: int) -> TreeNode:
+    def node(self, nid: int) -> Block:
         return self._by_id[nid]
 
     def neighbours(self, nid: int) -> tuple[int, ...]:
@@ -344,19 +331,17 @@ class SplitTree:
 
 def split_tree(decomposition: Decomposition) -> SplitTree:
     """Contract the solid edges: one node per block, one edge per marker pair."""
-    nodes = tuple([
-        TreeNode(b.id, b.kind, b.centre, b.own_vertices) for b in decomposition.blocks
-    ])
+    blocks = decomposition.blocks
     edges = tuple(
         sorted(
             tuple(sorted((decomposition.home_of(a), decomposition.home_of(b))))
             for a, b in decomposition.marker_pairs
         )
     )
-    if len(edges) != len(nodes) - 1:
+    if len(edges) != len(blocks) - 1:
         raise MalformedDecomposition("marker pairs do not form a tree")
-    tree = SplitTree(nodes, edges)
-    if nodes and len(_reach(tree, nodes[0].id, set())) != len(nodes):
+    tree = SplitTree(blocks, edges)
+    if blocks and len(_reach(tree, blocks[0].id, set())) != len(blocks):
         raise MalformedDecomposition("block adjacency is not connected")
     return tree
 
@@ -369,7 +354,8 @@ def side_vertices(tree: SplitTree, u: int, v: int) -> tuple[int, ...]:
 
 
 def _reach(tree: SplitTree, start: int, blocked: set[int]) -> list[int]:
-    """The nodes reachable from start without entering blocked (which grows)."""
+    """The nodes reachable from start without entering blocked (which grows),
+    in breadth-first order: on a path walked from one end, the path order."""
     blocked.add(start)
     out = [start]
     for x in out:

@@ -122,7 +122,7 @@ def test_criterion_4_certificate_soundness_at_scale():
         if not t.is_path():
             bad_orderings += 1
             continue
-        order = ordering_from_path_tree(t, d)
+        order = ordering_from_path_tree(t)
         if cutrank_of_ordering(g, order) > 1:
             bad_orderings += 1
     mid = time.time()

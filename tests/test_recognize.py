@@ -81,11 +81,20 @@ def test_disconnected_orderings_concatenate_by_component():
 
 def test_ordering_from_path_tree_examples():
     d, t = _decompose(path_graph(4))
-    assert ordering_from_path_tree(t, d) == (0, 1, 2, 3)
+    assert ordering_from_path_tree(t) == (0, 1, 2, 3)
     d, t = _decompose(cycle_graph(4))
-    assert ordering_from_path_tree(t, d) == (0, 2, 1, 3)
+    assert ordering_from_path_tree(t) == (0, 2, 1, 3)
     d, t = _decompose(complete_graph(5))
-    assert ordering_from_path_tree(t, d) == (0, 1, 2, 3, 4)
+    assert ordering_from_path_tree(t) == (0, 1, 2, 3, 4)
+
+
+def test_ordering_starts_at_the_end_with_the_least_vertex():
+    # the bull: its path is block 0 {2, 4}, block 1 {0}, block 2 {1, 3}, and
+    # the walk starts at block 2, not at the first node
+    d, t = _decompose(Graph(5, [(0, 3), (0, 4), (1, 3), (2, 4), (3, 4)]))
+    assert [(n.id, n.own_vertices) for n in t.nodes] == [(0, (2, 4)), (1, (0,)), (2, (1, 3))]
+    assert t.edges == ((0, 1), (1, 2))
+    assert ordering_from_path_tree(t) == (1, 3, 0, 2, 4)
 
 
 # -- rejecting side: non-DH stage --------------------------------------------------------

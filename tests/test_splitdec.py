@@ -251,6 +251,15 @@ def test_split_tree_single_node():
     assert t.is_path()
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_split_tree_nodes_are_the_blocks(seed):
+    g = oracle.random_dh_graph(30, seed)
+    d = canonical_decomposition_dh(g, pruning_sequence(g))
+    t = split_tree(d)
+    assert t.nodes is d.blocks
+    assert all(t.node(b.id) is b for b in d.blocks)
+
+
 def test_split_tree_p4_two_nodes():
     t = split_tree(canonical_decomposition_dh(path_graph(4), pruning_sequence(path_graph(4))))
     assert len(t.nodes) == 2 and len(t.edges) == 1
@@ -383,7 +392,7 @@ def test_ordering_requires_path_tree():
     g = net_graph()
     d = canonical_decomposition_dh(g, pruning_sequence(g))
     with pytest.raises(NotAPath):
-        ordering_from_path_tree(split_tree(d), d)
+        ordering_from_path_tree(split_tree(d))
 
 
 GOLDEN = Path(__file__).parent / "golden"
