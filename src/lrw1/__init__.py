@@ -51,7 +51,6 @@ from .oracle import (
 from .splitdec import (
     Block,
     Decomposition,
-    Marker,
     SplitTree,
     canonical_decomposition_dh,
     decomposition_to_dot,
@@ -66,7 +65,6 @@ __all__ = [
     "Decomposition",
     "DecompositionBuilder",
     "Graph",
-    "Marker",
     "ObstructionCertificate",
     "OrderingCertificate",
     "PruningSequence",

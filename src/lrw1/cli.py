@@ -38,6 +38,8 @@ EXIT_ERROR = 2
 
 
 def detect_format(text: str) -> str:
+    """The format of input text, from its first non-blank character: an edge
+    list starts with a digit or '#', and graph6 never does."""
     stripped = text.lstrip()
     if not stripped:
         return "edge-list"
@@ -61,8 +63,7 @@ def _read_text(path: str) -> str:
 
 def _load_graph(args) -> Graph:
     text = _read_text(args.input)
-    fmt = args.format or detect_format(text)
-    return parse_graph(text, fmt)
+    return parse_graph(text, detect_format(text))
 
 
 # -- certificate JSON ------------------------------------------------------------
@@ -247,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
-        p.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
-        p.add_argument("--format", choices=["edge-list", "graph6"], default=None,
-                       help="input format (default: auto-detect)")
+        p.add_argument("input", nargs="?", default="-",
+                       help="input file or - for stdin, as an edge list or graph6 (detected)")
 
     p = sub.add_parser("recognize", help="decide width <= 1 and print a certificate")
     add_input(p)

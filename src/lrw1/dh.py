@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 from operator import xor
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
-from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, two_core
+from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach, two_core
 from .named import domino_graph, gem_graph, house_graph
 
 
@@ -425,7 +425,7 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
     orders the isomorphism test is tried on.
     """
     n = graph.n
-    if n >= 5 and all(len(nb) == 2 for nb in graph.adj) and len(connected_components(graph)) == 1:
+    if n >= 5 and all(len(nb) == 2 for nb in graph.adj) and len(reach(graph.adj, 0, set())) == n:
         return "hole", n
     for family, member in _SMALL_NON_DH.items():
         if n == member.n and is_isomorphic_small(graph, member):

@@ -135,25 +135,25 @@ def pivot(graph: Graph, x: int, y: int) -> Graph:
     return local_complement(local_complement(local_complement(graph, x), y), x)
 
 
+def reach(adj, start: int, blocked: set[int]) -> list[int]:
+    """The vertices reachable from start without entering blocked, in
+    breadth-first order; adj[x] lists x's neighbours.  Every vertex reached
+    is added to blocked, start included.  The package's one graph walk: on a
+    path walked from one end, the order is the path order."""
+    blocked.add(start)
+    out = [start]
+    for x in out:
+        for y in adj[x]:
+            if y not in blocked:
+                blocked.add(y)
+                out.append(y)
+    return out
+
+
 def connected_components(graph: Graph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, each sorted, ordered by smallest member."""
-    seen = [False] * graph.n
-    out = []
-    for s in range(graph.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in graph.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return out
+    seen: set[int] = set()
+    return [tuple(sorted(reach(graph.adj, s, seen))) for s in range(graph.n) if s not in seen]
 
 
 def two_core(graph: Graph, vertices: Iterable[int] | None = None) -> list[int]:

@@ -40,6 +40,7 @@ from .graph import (
     induced_subgraph,
     local_complement,
     parse_graph,
+    reach,
     to_graph6,
 )
 from .splitdec import (
@@ -47,7 +48,7 @@ from .splitdec import (
     Decomposition,
     _classify_adj,
     _decomposition,
-    _reach,
+    _pairing_fault,
     canonical_decomposition_dh,
     canonical_violation,
     split_tree,
@@ -272,7 +273,7 @@ class DecompositionBuilder:
 
     def __init__(self):
         self.badj: dict[int, dict[int, set[int]]] = {}
-        self.partner: dict[int, int] = {}
+        self.pairs: set[tuple[int, int]] = set()  # each marked edge, lower id first
         self.mhome: dict[int, int] = {}
         self.vhome: dict[int, int] = {}
         self._next_block = 0
@@ -297,8 +298,7 @@ class DecompositionBuilder:
         return m
 
     def pair(self, a: int, b: int) -> None:
-        self.partner[a] = b
-        self.partner[b] = a
+        self.pairs.add((min(a, b), max(a, b)))
 
     def markerize(self, bid: int, v: int) -> int:
         """Replace original vertex v inside its block by a fresh marker."""
@@ -318,8 +318,7 @@ class DecompositionBuilder:
         """Contract the marked edge h1-h2, fusing its two blocks into one."""
         b1 = self.mhome.pop(h1)
         b2 = self.mhome.pop(h2)
-        del self.partner[h1]
-        del self.partner[h2]
+        self.pairs.remove((min(h1, h2), max(h1, h2)))
         merged = self.badj.pop(b1)
         merged.update(self.badj.pop(b2))
         _contract(merged, h1, h2)
@@ -359,13 +358,17 @@ class DecompositionBuilder:
         return b1, b2
 
     def freeze(self, origin: Graph) -> Decomposition:
+        """The Decomposition of the blocks so far; as in the DH build, only
+        a prime block lists its edges."""
         blocks = []
         for bid in sorted(self.badj):
             adj = self.badj[bid]
             kind, centre = _classify_adj(adj)
-            edges = sorted((u, v) for u in adj for v in adj[u] if u < v)  # adj is symmetric
-            blocks.append(Block(bid, tuple(sorted(adj)), tuple(edges), kind, centre))
-        return _decomposition(blocks, self.mhome, self.partner, self.vhome, origin)
+            edges = None
+            if kind == "prime":
+                edges = tuple(sorted((u, v) for u in adj for v in adj[u] if u < v))  # adj is symmetric
+            blocks.append(Block(bid, tuple(sorted(adj)), edges, kind, centre))
+        return _decomposition(blocks, sorted(self.pairs), origin)
 
 
 def refine(graph: Graph, side: Iterable[int]) -> tuple[Block, Block]:
@@ -441,11 +444,7 @@ def brute_canonical_decomposition(graph: Graph) -> Decomposition:
             break
     while True:
         merged = False
-        pairs = sorted(
-            {tuple(sorted((m, p))) for m, p in builder.partner.items()},
-            key=lambda t: (-t[1], -t[0]),
-        )
-        for m1, m2 in pairs:
+        for m1, m2 in sorted(builder.pairs, key=lambda t: (-t[1], -t[0])):
             if builder.violation(m1, m2):
                 builder.merge_pair(m1, m2)
                 merged = True
@@ -513,26 +512,16 @@ def validate_canonical(decomposition: Decomposition) -> list[tuple]:
     consistently, every marked edge is an isthmus of the block system, and
     recomposition returns exactly the original graph.  A prime block is
     searched for a split only up to 16 vertices (`_PRIME_CHECK_LIMIT`); a
-    larger one is not, since the search tries every bipartition.  A marker
-    that its home block does not hold, or whose pairing is broken, is
-    reported as ("malformed", reason) and ends the check.
+    larger one is not, since the search tries every bipartition.  Pairs
+    that break the pairing rule of `splitdec._pairing_fault` are reported as
+    ("malformed", reason), which ends the check.
     """
     issues: list[tuple] = []
     d = decomposition
-    held = {v: blk.id for blk in d.blocks for v in blk.marker_ids}
-    for m in d.markers:
-        if held.get(m.id) != m.home:
-            issues.append(("malformed", f"marker {m.id} is not in its home block {m.home}"))
-            return issues
-    by_id = {m.id: m for m in d.markers}
-    for m in d.markers:
-        p = by_id.get(m.partner)
-        if p is None or p.partner != m.id:
-            issues.append(("malformed", f"marker {m.id} pairing is not an involution"))
-            return issues
-        if p.home == m.home:
-            issues.append(("malformed", f"markers {m.id},{p.id} share a block"))
-            return issues
+    fault = _pairing_fault(d)
+    if fault is not None:
+        issues.append(("malformed", fault))
+        return issues
     try:
         rebuilt = recompose(d)
     except MalformedDecomposition as exc:
@@ -632,7 +621,7 @@ def _renamed_blocks(d: Decomposition) -> set[tuple[frozenset, frozenset]]:
     tree = split_tree(d)
     # breadth-first from the root: of two adjacent blocks, the nearer comes first
     root = next(blk.id for blk in d.blocks if 0 in blk.vertices)
-    rank = {x: i for i, x in enumerate(_reach(tree, root, set()))}
+    rank = {x: i for i, x in enumerate(reach(tree.adj, root, set()))}
     count = {blk.id: len(blk.own_vertices) for blk in d.blocks}
     least = {blk.id: min(blk.own_vertices, default=d.origin.n) for blk in d.blocks}
     pairs = [sorted(pair, key=lambda m: rank[d.home_of(m)]) for pair in d.marker_pairs]
@@ -913,10 +902,13 @@ def random_lrw1_graph(n: int, seed: int) -> Graph:
     return g
 
 
-def random_branching_dh_graph(n: int, seed: int, max_tries: int = 64) -> Graph:
+_BRANCHING_TRIES = 64
+
+
+def random_branching_dh_graph(n: int, seed: int) -> Graph:
     """Seeded connected DH graph whose split tree has a node of degree >= 3."""
-    for attempt in range(max_tries):
-        g = random_dh_graph(n, seed * max_tries + attempt)
+    for attempt in range(_BRANCHING_TRIES):
+        g = random_dh_graph(n, seed * _BRANCHING_TRIES + attempt)
         seq = pruning_sequence(g)
         tree = split_tree(canonical_decomposition_dh(g, seq))
         if not tree.is_path():

@@ -19,15 +19,8 @@ from . import oracle
 from .dh import minimal_non_dh_family, non_dh_obstruction, pruning_sequence
 from .errors import InternalInvariantViolation, NotApplicable, NotAPath, NotAPermutation
 from .gf2 import cutrank_of_ordering
-from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small
-from .splitdec import (
-    Decomposition,
-    SplitTree,
-    _reach,
-    canonical_decomposition_dh,
-    side_vertices,
-    split_tree,
-)
+from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach
+from .splitdec import SplitTree, canonical_decomposition_dh, side_vertices, split_tree
 
 
 # -- certificates -----------------------------------------------------------------
@@ -80,7 +73,7 @@ def ordering_from_path_tree(tree: SplitTree) -> tuple[int, ...]:
         raise NotAPath("split tree has a node of degree 3 or more")
     ends = [n for n in tree.nodes if tree.degree(n.id) <= 1]
     start = min(ends, key=lambda n: n.own_vertices[0])
-    return tuple([v for nid in _reach(tree, start.id, set()) for v in tree.node(nid).own_vertices])
+    return tuple([v for nid in reach(tree.adj, start.id, set()) for v in tree.node(nid).own_vertices])
 
 
 # -- dh_star3 obstructions: one hub and leg table ------------------------------------------
@@ -185,10 +178,9 @@ def _first_pair(
     return None
 
 
-def extract_lrw1_obstruction(
-    graph: Graph, tree: SplitTree, decomposition: Decomposition, node: int
-) -> tuple[int, ...]:
-    """Minimal obstruction around a split-tree node of degree >= 3.
+def extract_lrw1_obstruction(tree: SplitTree, node: int) -> tuple[int, ...]:
+    """Minimal obstruction around a split-tree node of degree >= 3, in the
+    graph that the tree's decomposition decomposes.
 
     The node is the hub.  Two vertices are chosen on each of three sides of
     it (plus the hub centre when it is an original vertex), so the induced
@@ -205,8 +197,10 @@ def extract_lrw1_obstruction(
         raise NotApplicable(f"{node} is not a split-tree node") from None
     if degree < 3:
         raise NotApplicable(f"node {node} has degree {degree}")
-    hub = decomposition.block(node)
-    nbs = sorted(tree.neighbours(node))
+    decomposition = tree.decomposition
+    graph = decomposition.origin
+    hub = tree.node(node)
+    nbs = tree.neighbours(node)  # sorted
     chosen: list[int] = []
     if hub.kind == "clique":
         kind, legs = "clique", nbs[:3]
@@ -262,12 +256,11 @@ def _recognize_connected(graph: Graph):
     seq = pruning_sequence(graph, residue)
     if seq is None:
         return non_dh_certificate(graph, residue)
-    decomposition = canonical_decomposition_dh(graph, seq)
-    tree = split_tree(decomposition)
+    tree = split_tree(canonical_decomposition_dh(graph, seq))
     if tree.is_path():
         return ordering_from_path_tree(tree)
     node = min(n.id for n in tree.nodes if tree.degree(n.id) >= 3)
-    vs = extract_lrw1_obstruction(graph, tree, decomposition, node)
+    vs = extract_lrw1_obstruction(tree, node)
     return ObstructionCertificate(
         vs, "dh_star3", catalog_index=_match_catalog(induced_subgraph(graph, vs))
     )

@@ -1,10 +1,11 @@
 """Split decompositions of connected graphs.
 
 A decomposition is a system of blocks: small graphs over a mixed vertex set
-(original vertices have ids >= 0, markers have ids < 0) where partnered
-markers pair blocks up.  Contracting a marker pair joins the solid
-neighbourhoods of the two markers and removes them; contracting everything
-recovers the original graph.
+(original vertices have ids >= 0, markers have ids < 0) whose markers are
+paired across blocks.  Each marked edge is kept once, as a pair of marker
+ids with the lower first; a marker's home is the block that holds it.
+Contracting a marker pair joins the solid neighbourhoods of the two markers
+and removes them; contracting everything recovers the original graph.
 
 A decomposition is canonical when every block is a clique (>= 3 vertices), a
 star (>= 3 vertices) or prime, no two clique blocks are adjacent, and two
@@ -15,8 +16,8 @@ valid: after each insertion a single local repair restores the canonical
 conditions, and uniqueness does the rest.
 
 Representation and cost.  A prime block lists its solid edges.  A clique or
-star block may instead be given by its kind, centre and vertices alone, and
-`Block.edges` and `Block.adj` then list its edges only when read.  The
+star block is given by its kind, centre and vertices alone, which fix its
+edges, and `Block.edges` and `Block.adj` list them only when read.  The
 distance-hereditary build (`canonical_decomposition_dh`) makes only such
 blocks: a DH graph is totally decomposable, so apart from a seed of at most
 two vertices every block is a clique or a star.  It keeps one record per
@@ -37,13 +38,13 @@ references, and live in `oracle`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Collection, Mapping
 
 from .dh import PruningSequence, replay_pruning
 from .errors import MalformedDecomposition, NotATreeEdge, NotDH
-from .graph import Graph
+from .graph import Graph, reach
 
 
 # -- block kinds -------------------------------------------------------------
@@ -80,15 +81,14 @@ def canonical_violation(k1: str, c1: int | None, m1: int, k2: str, c2: int | Non
 # -- decomposition data ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Block:
     """One block: a small graph over original vertices and markers.
 
-    `vertices` is sorted.  The solid edges of a clique or star follow from
-    its kind, centre and vertices, so such a block may be given with
-    `listed_edges` None: `edges` and `adj` then derive them on first use.
-    A prime block lists its edges.  Two blocks are equal when their ids,
-    vertices, kinds, centres and edges are.
+    `vertices` is sorted.  A prime block lists its solid edges in
+    `listed_edges`; a clique or star leaves it None, as its edges follow
+    from its kind, centre and vertices, and `edges` and `adj` derive them on
+    first use.  Equality and hashing are by the five fields.
     """
 
     id: int
@@ -124,30 +124,14 @@ class Block:
     def marker_ids(self) -> tuple[int, ...]:
         return tuple([v for v in self.vertices if v < 0])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Block):
-            return NotImplemented
-        if (self.id, self.vertices, self.kind, self.centre) != (other.id, other.vertices, other.kind, other.centre):
-            return False
-        # two implied edge sets with the same kind, centre and vertices agree
-        both_implied = self.listed_edges is None and other.listed_edges is None
-        return both_implied or self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.vertices, self.kind, self.centre))
-
-
-@dataclass(frozen=True)
-class Marker:
-    id: int
-    home: int  # block id
-    partner: int  # marker id in the neighbouring block
-
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The blocks, each marked edge once as a (lower id, higher id) pair,
+    and the graph they decompose."""
+
     blocks: tuple[Block, ...]
-    markers: tuple[Marker, ...]
+    marker_pairs: tuple[tuple[int, int], ...]
     origin: Graph
 
     @cached_property
@@ -155,45 +139,56 @@ class Decomposition:
         return {b.id: b for b in self.blocks}
 
     @cached_property
-    def _marker_by_id(self) -> dict[int, Marker]:
-        return {m.id: m for m in self.markers}
+    def _home(self) -> dict[int, int]:
+        return {m: b.id for b in self.blocks for m in b.marker_ids}
 
     def block(self, bid: int) -> Block:
         return self._block_by_id[bid]
 
-    def partner_of(self, mid: int) -> int:
-        return self._marker_by_id[mid].partner
-
     def home_of(self, mid: int) -> int:
-        return self._marker_by_id[mid].home
+        """The id of the block that holds the marker."""
+        return self._home[mid]
 
-    @cached_property
-    def marker_pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs = {tuple(sorted((m.id, m.partner))) for m in self.markers}
-        return tuple(sorted(pairs))
+    def partner_of(self, mid: int) -> int:
+        """The marker paired with mid, read off its pair in O(number of pairs)."""
+        for a, b in self.marker_pairs:
+            if mid in (a, b):
+                return a + b - mid
+        raise KeyError(mid)
 
 
-def _decomposition(
-    blocks: list[Block],
-    mhome: Mapping[int, int],
-    partner: Mapping[int, int],
-    reals: Collection[int],
-    origin: Graph,
-) -> Decomposition:
+def _pairing_fault(d: Decomposition) -> str | None:
+    """Why the pairs of d do not pair up the markers of its blocks, or None:
+    each marker that a block holds must be paired exactly once, with a marker
+    of another block."""
+    home = d._home
+    paired: set[int] = set()
+    for a, b in d.marker_pairs:
+        for m in (a, b):
+            if m not in home:
+                return f"marker {m} is in no block"
+            if m in paired:
+                return f"marker {m} is in two pairs"
+            paired.add(m)
+        if home[a] == home[b]:
+            return f"paired markers {a},{b} share a block"
+    unpaired = home.keys() - paired
+    if unpaired:
+        return f"marker {max(unpaired)} has no partner"
+    return None
+
+
+def _decomposition(blocks: list[Block], pairs: list[tuple[int, int]], origin: Graph) -> Decomposition:
     """The Decomposition of a finished block system, after its structural
-    checks: every marker is partnered into another block, and the blocks
-    hold each original vertex of origin once (reals lists them)."""
-    markers = []
-    for m in sorted(mhome, reverse=True):
-        if m not in partner:
-            raise MalformedDecomposition(f"marker {m} has no partner")
-        markers.append(Marker(m, mhome[m], partner[m]))
-    for m in markers:
-        if mhome[m.partner] == m.home:
-            raise MalformedDecomposition("partnered markers share a block")
-    if sorted(reals) != list(range(origin.n)):
+    checks: `_pairing_fault` finds none, and the blocks hold each original
+    vertex of origin once."""
+    d = Decomposition(tuple(blocks), tuple(pairs), origin)
+    fault = _pairing_fault(d)
+    if fault is not None:
+        raise MalformedDecomposition(fault)
+    if sorted([v for b in blocks for v in b.own_vertices]) != list(range(origin.n)):
         raise MalformedDecomposition("blocks do not partition the original vertices")
-    return Decomposition(tuple(blocks), tuple(markers), origin)
+    return d
 
 
 # -- canonical decomposition of distance-hereditary graphs --------------------
@@ -250,8 +245,7 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
         cell.edges = tuple([(u, v) for u in sorted(first) for v in sorted(seed[u]) if u < v])
     cells = [cell]
     home = dict.fromkeys(first, cell)  # original vertex -> its cell
-    mhome: dict[int, _Cell] = {}
-    partner: dict[int, int] = {}
+    pairs = []
     next_block, next_marker = 1, -1
     for step in steps[2:]:
         w, v = step.removed, step.anchor
@@ -283,14 +277,11 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
         next_block += 1
         cells.append(new)
         home[v] = home[w] = new
-        mhome[h_old] = cell
-        mhome[h_new] = new
-        partner[h_old] = h_new
-        partner[h_new] = h_old
+        pairs.append((h_new, h_old))
     cells.sort(key=lambda c: c.id)
     blocks = [Block(c.id, tuple(sorted(c.members)), c.edges, c.kind, c.centre) for c in cells]
-    marker_home = {m: c.id for m, c in mhome.items()}
-    return _decomposition(blocks, marker_home, partner, home, graph)
+    pairs.reverse()  # marker ids fall as the build goes on
+    return _decomposition(blocks, pairs, graph)
 
 
 # -- split tree ----------------------------------------------------------------
@@ -298,18 +289,20 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
 
 @dataclass(frozen=True)
 class SplitTree:
-    """The block system with each block contracted to one node: `nodes` is
-    the decomposition's own `blocks` tuple, and a node's id is its block's."""
+    """The block system with each block contracted to one node.  The tree
+    keeps its decomposition: `nodes` is its `blocks` tuple, and a node's id
+    is its block's."""
 
-    nodes: tuple[Block, ...]
+    decomposition: Decomposition
     edges: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def _by_id(self) -> dict[int, Block]:
-        return {n.id: n for n in self.nodes}
+    @property
+    def nodes(self) -> tuple[Block, ...]:
+        return self.decomposition.blocks
 
     @cached_property
-    def _adj(self) -> dict[int, tuple[int, ...]]:
+    def adj(self) -> dict[int, tuple[int, ...]]:
+        """Each node's neighbours, sorted."""
         nbs: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for u, v in self.edges:
             nbs[u].append(v)
@@ -317,53 +310,39 @@ class SplitTree:
         return {k: tuple(sorted(v)) for k, v in nbs.items()}
 
     def node(self, nid: int) -> Block:
-        return self._by_id[nid]
+        return self.decomposition.block(nid)
 
     def neighbours(self, nid: int) -> tuple[int, ...]:
-        return self._adj[nid]
+        return self.adj[nid]
 
     def degree(self, nid: int) -> int:
-        return len(self._adj[nid])
+        return len(self.adj[nid])
 
     def is_path(self) -> bool:
-        return all(len(nb) <= 2 for nb in self._adj.values())
+        return all(len(nb) <= 2 for nb in self.adj.values())
 
 
 def split_tree(decomposition: Decomposition) -> SplitTree:
     """Contract the solid edges: one node per block, one edge per marker pair."""
     blocks = decomposition.blocks
-    edges = tuple(
-        sorted(
-            tuple(sorted((decomposition.home_of(a), decomposition.home_of(b))))
-            for a, b in decomposition.marker_pairs
-        )
-    )
+    home = decomposition.home_of
+    try:
+        edges = tuple(sorted(tuple(sorted((home(a), home(b)))) for a, b in decomposition.marker_pairs))
+    except KeyError as exc:
+        raise MalformedDecomposition(f"marker {exc.args[0]} is in no block") from None
     if len(edges) != len(blocks) - 1:
         raise MalformedDecomposition("marker pairs do not form a tree")
-    tree = SplitTree(blocks, edges)
-    if blocks and len(_reach(tree, blocks[0].id, set())) != len(blocks):
+    tree = SplitTree(decomposition, edges)
+    if blocks and len(reach(tree.adj, blocks[0].id, set())) != len(blocks):
         raise MalformedDecomposition("block adjacency is not connected")
     return tree
 
 
 def side_vertices(tree: SplitTree, u: int, v: int) -> tuple[int, ...]:
     """Original vertices in the subtree on u's side of the tree edge uv."""
-    if v not in tree._adj.get(u, ()):
+    if v not in tree.adj.get(u, ()):
         raise NotATreeEdge(f"({u},{v}) is not a tree edge")
-    return tuple(sorted(x for nid in _reach(tree, u, {v}) for x in tree.node(nid).own_vertices))
-
-
-def _reach(tree: SplitTree, start: int, blocked: set[int]) -> list[int]:
-    """The nodes reachable from start without entering blocked (which grows),
-    in breadth-first order: on a path walked from one end, the path order."""
-    blocked.add(start)
-    out = [start]
-    for x in out:
-        for y in tree.neighbours(x):
-            if y not in blocked:
-                blocked.add(y)
-                out.append(y)
-    return out
+    return tuple(sorted(x for nid in reach(tree.adj, u, {v}) for x in tree.node(nid).own_vertices))
 
 
 # -- export --------------------------------------------------------------------

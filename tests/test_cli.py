@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, JSON round trips, DOT output, sweeps."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -267,3 +269,33 @@ def test_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, caps
         assert (fresh.returncode, fresh.stdout) == (code, out), argv
         if code == 2:
             assert fresh.stderr == err
+
+
+RECOGNIZE_GOLDEN = Path(__file__).parent / "golden" / "recognize_fixtures.txt"
+
+
+def recognize_fixture_text() -> str:
+    """One line per fixture graph on 1 to 7 vertices, disconnected ones
+    included: its graph6 string, the exit code and the stdout of
+    `recognize --json --verify` with the graph on stdin."""
+    lines = []
+    for n in range(1, 8):
+        for graph in oracle.load_fixture_graphs(n):
+            g6 = serialize_graph(graph, "graph6")
+            stdin, sys.stdin = sys.stdin, io.StringIO(g6 + "\n")
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = cli.main(["recognize", "--json", "--verify"])
+            finally:
+                sys.stdin = stdin
+            lines.append(f"{g6} {code} {out.getvalue()}")
+    return "".join(lines)
+
+
+def test_recognize_output_on_every_fixture_matches_the_golden_file():
+    """The certificate bytes and exit codes of all 1252 fixture graphs.
+
+    Regenerate the file, after a change that is meant to alter them, with
+    PYTHONPATH=src:tests python -c "import test_cli; print(test_cli.recognize_fixture_text(), end='')" > tests/golden/recognize_fixtures.txt
+    """
+    assert recognize_fixture_text() == RECOGNIZE_GOLDEN.read_text()

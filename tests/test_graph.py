@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, relabelled_edge_set
+from conftest import connected_graphs, graphs, relabelled_edge_set
 from lrw1.errors import InvalidVertex, NotAnEdge, ParseError, TooLarge
 from lrw1.graph import (
     Graph,
@@ -230,6 +230,30 @@ def test_components_k3():
 def test_components_three_disjoint_edges():
     g = disjoint_union(path_graph(2), path_graph(2), path_graph(2))
     assert connected_components(g) == [(0, 1), (2, 3), (4, 5)]
+
+
+@given(st.lists(connected_graphs(max_n=6), min_size=1, max_size=4), st.data())
+def test_components_of_a_shuffled_disjoint_union_match_a_union_find(parts, data):
+    union = disjoint_union(*parts)
+    perm = data.draw(st.permutations(range(union.n)))
+    g = Graph(union.n, [(perm[u], perm[v]) for u, v in union.edges])
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    comps = connected_components(g)
+    assert sorted(v for comp in comps for v in comp) == list(range(g.n))
+    assert all(list(comp) == sorted(comp) for comp in comps)
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    part = {v: i for i, comp in enumerate(comps) for v in comp}
+    assert all(part[u] == part[v] for u, v in g.edges)
+    assert all(len({find(v) for v in comp}) == 1 for comp in comps)
+    assert len(comps) == len({find(v) for v in range(g.n)}) == len(parts)
 
 
 # -- isomorphism ---------------------------------------------------------------------

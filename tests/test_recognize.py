@@ -155,7 +155,7 @@ def test_spider_extraction_takes_everything():
     d, t = _decompose(g)
     hub = next(n.id for n in t.nodes if t.degree(n.id) >= 3)
     assert t.node(hub).kind == "star" and t.node(hub).centre == 0
-    vs = extract_lrw1_obstruction(g, t, d, hub)
+    vs = extract_lrw1_obstruction(t, hub)
     assert vs == tuple(range(7))
     assert oracle.brute_lrw(g) == 2
 
@@ -172,14 +172,14 @@ def test_extraction_rejects_low_degree_node():
     g = path_graph(6)
     d, t = _decompose(g)
     with pytest.raises(NotApplicable):
-        extract_lrw1_obstruction(g, t, d, t.nodes[0].id)
+        extract_lrw1_obstruction(t, t.nodes[0].id)
 
 
 def test_extraction_rejects_a_node_outside_the_tree():
     g = net_graph()
     d, t = _decompose(g)
     with pytest.raises(NotApplicable):
-        extract_lrw1_obstruction(g, t, d, max(n.id for n in t.nodes) + 1)
+        extract_lrw1_obstruction(t, max(n.id for n in t.nodes) + 1)
 
 
 def _exhaustive_first_pair(graph, side, allowed):
@@ -300,7 +300,7 @@ def test_catalog_members_extract_themselves():
     for m in dh_obstruction_catalog():
         d, t = _decompose(m)
         hub = min(n.id for n in t.nodes if t.degree(n.id) >= 3)
-        assert extract_lrw1_obstruction(m, t, d, hub) == tuple(range(m.n))
+        assert extract_lrw1_obstruction(t, hub) == tuple(range(m.n))
 
 
 def test_catalog_members_are_genuine_obstructions():

@@ -25,7 +25,6 @@ from lrw1.oracle import (
 from lrw1.splitdec import (
     Block,
     Decomposition,
-    Marker,
     canonical_decomposition_dh,
     decomposition_to_dot,
     side_vertices,
@@ -187,7 +186,7 @@ def test_long_path_decomposition_is_isomorphic_to_itself():
     # interpreter's recursion limit
     g = path_graph(1500)
     d = canonical_decomposition_dh(g, pruning_sequence(g))
-    assert len(d.markers) == 2994
+    assert len(d.marker_pairs) == 1497
     assert decompositions_isomorphic(d, d)
 
 
@@ -212,7 +211,7 @@ def test_comparison_rejects_a_block_system_that_is_not_a_tree():
         Block(0, (-3, -1, 0), ((-3, -1), (-3, 0), (-1, 0)), "clique", None),
         Block(1, (-4, -2, 1), ((-4, -2), (-4, 1), (-2, 1)), "clique", None),
     )
-    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    markers = ((-4, -3), (-2, -1))
     d = Decomposition(blocks, markers, Graph(2, [(0, 1)]))
     with pytest.raises(MalformedDecomposition, match="tree"):
         decompositions_isomorphic(d, d)
@@ -226,7 +225,7 @@ def test_comparison_rejects_two_marked_edges_splitting_off_the_same_vertices():
         Block(1, (-3, -2), ((-3, -2),), "prime", None),
         Block(2, (-4, 2, 3), ((-4, 2), (2, 3)), "star", 2),
     )
-    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 1, -4), Marker(-4, 2, -3))
+    markers = ((-4, -3), (-2, -1))
     d = Decomposition(blocks, markers, path_graph(4))
     assert recompose(d) == path_graph(4)
     with pytest.raises(MalformedDecomposition, match="split off the same"):
@@ -258,6 +257,7 @@ def test_split_tree_nodes_are_the_blocks(seed):
     t = split_tree(d)
     assert t.nodes is d.blocks
     assert all(t.node(b.id) is b for b in d.blocks)
+    assert t.decomposition is d
 
 
 def test_split_tree_p4_two_nodes():
@@ -303,7 +303,7 @@ def test_split_tree_rejects_a_disconnected_block_system():
         Block(1, (-4, -2, 1), ((-4, 1), (-2, 1)), "star", 1),
         Block(2, (2,), (), "prime", None),
     )
-    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    markers = ((-4, -3), (-2, -1))
     with pytest.raises(MalformedDecomposition, match="block adjacency is not connected"):
         split_tree(Decomposition(blocks, markers, Graph(3, [(0, 1)])))
 
@@ -329,10 +329,10 @@ def test_validate_flags_adjacent_cliques():
         Block(0, (-1, 0, 1), tuple(sorted(k3)), "clique", None),
         Block(1, (-2, 2, 3), tuple(sorted(other)), "clique", None),
     )
-    from lrw1.splitdec import Decomposition, Marker
+    from lrw1.splitdec import Decomposition
 
     origin = Graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
-    d = Decomposition(blocks, (Marker(-1, 0, -2), Marker(-2, 1, -1)), origin)
+    d = Decomposition(blocks, ((-2, -1),), origin)
     codes = [v[0] for v in validate_canonical(d)]
     assert "adjacent-cliques" in codes
 
@@ -341,10 +341,10 @@ def test_validate_flags_centre_to_leaf_stars():
     # star centred at its marker joined to a star centred at a real vertex
     a = Block(0, (-1, 0, 1), ((-1, 0), (-1, 1)), "star", -1)
     b = Block(1, (-2, 2, 3), ((2, -2), (2, 3)), "star", 2)
-    from lrw1.splitdec import Decomposition, Marker
+    from lrw1.splitdec import Decomposition
 
     origin = Graph(4, [(0, 2), (1, 2), (2, 3)])
-    d = Decomposition((a, b), (Marker(-1, 0, -2), Marker(-2, 1, -1)), origin)
+    d = Decomposition((a, b), ((-2, -1),), origin)
     codes = [v[0] for v in validate_canonical(d)]
     assert "star-orientation" in codes
 
@@ -359,16 +359,55 @@ def test_validate_flags_splittable_prime():
     assert "splittable-prime" in codes
 
 
-def test_validate_reports_a_marker_outside_its_home_block():
-    # a home naming no block, and a home naming the block of the partner
-    g = path_graph(4)
+def _p5_blocks():
+    # the blocks of P5's decomposition, whose pairs are ((-4, -3), (-2, -1))
+    g = path_graph(5)
     d = canonical_decomposition_dh(g, pruning_sequence(g))
-    other = next(b.id for b in d.blocks if b.id != d.home_of(-1))
-    for home in [7, other]:
-        markers = tuple(dataclasses.replace(m, home=home) if m.id == -1 else m for m in d.markers)
-        assert validate_canonical(dataclasses.replace(d, markers=markers)) == [
-            ("malformed", f"marker -1 is not in its home block {home}")
-        ]
+    assert d.marker_pairs == ((-4, -3), (-2, -1))
+    return d.blocks, g
+
+
+PAIRING_FAULTS = [
+    (((-4, -3),), "marker -1 has no partner"),
+    (((-4, -3), (-2, -1), (-3, -1)), "marker -3 is in two pairs"),
+    (((-4, -1), (-3, -2)), "paired markers -3,-2 share a block"),
+    (((-5, -3), (-2, -1)), "marker -5 is in no block"),
+]
+PAIRING_FAULT_IDS = ["unpaired", "in-two-pairs", "inside-one-block", "in-no-block"]
+
+
+@pytest.mark.parametrize("pairs, fault", PAIRING_FAULTS, ids=PAIRING_FAULT_IDS)
+def test_the_builders_check_refuses_each_pairing_fault(pairs, fault):
+    blocks, g = _p5_blocks()
+    with pytest.raises(MalformedDecomposition, match=fault):
+        splitdec._decomposition(list(blocks), list(pairs), g)
+
+
+@pytest.mark.parametrize("pairs, fault", PAIRING_FAULTS, ids=PAIRING_FAULT_IDS)
+def test_validate_reports_each_pairing_fault(pairs, fault):
+    blocks, g = _p5_blocks()
+    assert validate_canonical(Decomposition(blocks, pairs, g)) == [("malformed", fault)]
+
+
+def test_a_pair_naming_a_marker_no_block_holds_is_malformed_not_a_key_error():
+    blocks, g = _p5_blocks()
+    d = Decomposition(blocks, ((-5, -3), (-2, -1)), g)
+    with pytest.raises(MalformedDecomposition, match="marker -5 is in no block"):
+        split_tree(d)
+    with pytest.raises(MalformedDecomposition, match="marker -5 is in no block"):
+        decompositions_isomorphic(d, d)
+
+
+def test_recognition_checks_the_pairing_once(monkeypatch):
+    from lrw1.recognizer import recognize
+
+    calls = []
+    check = splitdec._pairing_fault
+    monkeypatch.setattr(splitdec, "_pairing_fault", lambda *args: calls.append(1) or check(*args))
+    for g in [path_graph(40), net_graph(), oracle.random_dh_graph(50, 7)]:
+        calls.clear()
+        recognize(g)
+        assert calls == [1]
 
 
 # -- exports ----------------------------------------------------------------------------------
@@ -425,6 +464,27 @@ def _assert_same_as_reference(g):
     assert mine == reference, g
     assert [b.edges for b in mine.blocks] == [b.edges for b in reference.blocks]
     assert [b.adj for b in mine.blocks] == [b.adj for b in reference.blocks]
+
+
+def test_builders_list_edges_only_for_prime_blocks():
+    # a clique's or a star's edges follow from its kind and centre
+    decompositions = [oracle.brute_canonical_decomposition(g) for g in [cycle_graph(5), net_graph(), path_graph(6)]]
+    decompositions.append(oracle.reference_canonical_decomposition_dh(net_graph(), pruning_sequence(net_graph())))
+    decompositions.append(canonical_decomposition_dh(complete_graph(2), pruning_sequence(complete_graph(2))))
+    blocks = [b for d in decompositions for b in d.blocks] + list(refine(cycle_graph(4), [0, 2]))
+    assert {b.kind for b in blocks} == {"clique", "star", "prime"}
+    for b in blocks:
+        assert (b.listed_edges is not None) == (b.kind == "prime"), b
+        assert b.edges == tuple(sorted(b.edges))
+
+
+def test_equal_blocks_hash_equal():
+    g = oracle.random_dh_graph(40, 3)
+    mine = canonical_decomposition_dh(g, pruning_sequence(g))
+    reference = oracle.reference_canonical_decomposition_dh(g, pruning_sequence(g))
+    for a, b in zip(mine.blocks, reference.blocks):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len(set(mine.blocks) | set(reference.blocks)) == len(mine.blocks)
 
 
 def test_dh_build_equals_the_reference_on_connected_fixtures():
@@ -492,7 +552,7 @@ def test_validate_flags_marked_edges_on_a_cycle():
         Block(0, (-3, -1, 0), ((-3, -1), (-3, 0), (-1, 0)), "clique", None),
         Block(1, (-4, -2, 1), ((-4, -2), (-4, 1), (-2, 1)), "clique", None),
     )
-    markers = (Marker(-1, 0, -2), Marker(-2, 1, -1), Marker(-3, 0, -4), Marker(-4, 1, -3))
+    markers = ((-4, -3), (-2, -1))
     d = Decomposition(blocks, markers, Graph(2, [(0, 1)]))
     isthmus_issues = [v for v in validate_canonical(d) if v[0] == "marked-edge-not-isthmus"]
     assert isthmus_issues == [("marked-edge-not-isthmus", -4, -3), ("marked-edge-not-isthmus", -2, -1)]
