@@ -27,19 +27,24 @@ vertex outside R is deleted with no test, a vertex of R gets one trial,
 peeled back to its 2-core, whose own residue replaces R when it is non-DH,
 and the pass ends at the first vertex above max(R), or as soon as the kept
 set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
-Only a vertex of the current residue costs a DH test, so a small
-obstruction in a large 2-core costs about |R| tests, and never more than
-|C| + 1 in all, O(n(m + n log n)).  There is none at all when the 2-core is
-one of the four, as for a hole, or when a residue handed in lies on the
-highest ids of C.  `oracle.reference_non_dh_obstruction` restarts at the
-lowest id after every deletion and tries every vertex, up to about n^2 DH
-tests; the tests require the two to return the same vertex tuple.
+The failed pruning also settles trials on its own: a vertex v of R that
+never had a twin during it anchored pendant steps only, so the graph minus v
+is DH exactly when G[R - v] is, and when G[R] is one of the four, v is kept
+with no test.  A vertex of R costs a DH test only when it may have had a
+twin or R is not one of the four, so a small obstruction in a large 2-core
+costs about |R| tests, and never more than |C| + 1 in all, O(n(m + n log n)).
+There is none at all when the 2-core is one of the four, as for a hole, nor
+when no vertex of a handed-in minimal R may have had a twin, as for a C5
+hung on a large DH graph.
+`oracle.reference_non_dh_obstruction` restarts at the lowest id after every
+deletion and tries every vertex, up to about n^2 DH tests; the tests require
+the two to return the same vertex tuple.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Collection, Container
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
@@ -433,16 +438,69 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
     return None
 
 
-def non_dh_obstruction(graph: Graph, residue: Collection[int] | None = None) -> tuple[int, ...]:
+def _twin_free(graph: Graph, live: set[int], inside: Container[int]) -> set[int]:
+    """The vertices v of `live` that no vertex of `inside` outside `live` sees
+    as v does: none is adjacent to exactly v's neighbours in live - {v}.
+
+    A twin x of v at any step of a pruning that left `live` as its residue is
+    such a vertex, since twins agree on every live vertex but themselves, so
+    a vertex returned never had a twin.  Costs O(sum of deg u over live).
+    """
+    traces: dict[int, set[int]] = {}
+    for u in live:
+        for x in graph.adj[u]:
+            if x not in live and x in inside:
+                traces.setdefault(x, set()).add(u)
+    # v has two or more neighbours in live, so one vertex sees fewer
+    seen = {frozenset(t) for t in traces.values() if len(t) > 1}
+    if not seen:
+        return set(live)
+    free = set()
+    for v in live:
+        nb = graph.adj[v] & live
+        if nb not in seen and nb | {v} not in seen:
+            free.add(v)
+    return free
+
+
+def _settle(
+    graph: Graph, live: set[int], inside: Container[int], pruned: Graph | None = None
+) -> tuple[tuple[str, int | None] | None, set[int]]:
+    """The family of G[live], the residue of a failed pruning of G[inside],
+    and the vertices of live that the pruning settles: those `_twin_free`
+    passes, when G[live] is a minimal non-DH graph and G[inside] is
+    connected.  `pruned` is G[inside] when that is not yet known, and None
+    when G[inside] is `graph`, whose pruning fails only when it is connected.
+    """
+    if len(live) > 6:
+        # the only minimal non-DH graphs above 6 vertices are holes, and a
+        # residue is connected, so it is a hole when each of its vertices has
+        # two neighbours in it
+        if any(len(graph.adj[v] & live) != 2 for v in live):
+            return None, set()
+        kind: tuple[str, int | None] | None = ("hole", len(live))
+    else:
+        kind = minimal_non_dh_family(induced_subgraph(graph, live))
+    if kind is None or pruned is not None and len(reach(pruned.adj, 0, set())) < pruned.n:
+        return kind, set()
+    return kind, _twin_free(graph, live, inside)
+
+
+def non_dh_obstruction(
+    graph: Graph,
+    residue: Collection[int] | None = None,
+    family: list[tuple[str, int | None] | None] | None = None,
+) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
 
     Greedy deletion in one ascending pass over the 2-core C of the graph,
     what remains after repeatedly deleting vertices of degree at most 1: drop
     each vertex whose removal keeps the kept set K non-DH.  The result is one
-    of the classical minimal obstructions (house, gem, domino, or a hole).
-    It is the same tuple as restarting at the lowest id after every deletion
-    over all vertices (`oracle.reference_non_dh_obstruction`), for two
-    reasons:
+    of the classical minimal obstructions (house, gem, domino, or a hole),
+    whose `minimal_non_dh_family` is appended to `family` when a list is
+    given.  It is the same tuple as restarting at the lowest id after every
+    deletion over all vertices (`oracle.reference_non_dh_obstruction`), for
+    two reasons:
 
     - non-DH survives adding vertices, so a vertex whose deletion once left a
       DH graph can never be deleted later, and a restart repeats only trials
@@ -451,13 +509,13 @@ def non_dh_obstruction(graph: Graph, residue: Collection[int] | None = None) -> 
       2-core of G[K ∩ C], so every vertex outside C would be deleted and no
       decision on a vertex of C depends on them.
 
-    `residue` is a vertex set R inside C that induces a non-DH graph, such
-    as the residue of a failed `pruning_sequence` of the graph; without one,
-    R is the residue of the one DH test on G[C], which raises `AlreadyDH`
-    when G[C] is DH.  C is classified before that test, so a hole, or a C
-    that is already a house, gem or domino, is returned with no DH test.
-    The pass keeps R inside K and does the plain pass's work with four
-    shortcuts, none of which changes the tuple:
+    `residue` is the residue R of a failed `pruning_sequence` of `graph`,
+    which is then connected; without one, R is the residue of the one DH
+    test on G[C], which raises `AlreadyDH` when G[C] is DH.  C is classified
+    before that test, so a hole, or a C that is already a house, gem or
+    domino, is returned with no DH test.  The pass keeps R inside K and does
+    the plain pass's work with five shortcuts, none of which changes the
+    tuple:
 
     - **Skip.**  A vertex outside R is deleted with no test, since the rest
       of K still contains R and so is non-DH.
@@ -467,48 +525,77 @@ def non_dh_obstruction(graph: Graph, residue: Collection[int] | None = None) -> 
       and its own residue becomes R; the vertices peeled out of it are
       skipped, since the plain pass deletes each of them: its 2-core, hence
       its DH status, does not change without them.
+    - **Settled.**  Let S be a failed pruning of a graph H with residue R,
+      and let v in R never have had a twin during S.  Every step of S
+      anchored at v is then a pendant step, whose vertex is left isolated in
+      H - v, and every other step is still a pendant or twin removal in
+      H - v, so H - v is DH iff H[R - v] is.  If H[R] is a house, gem,
+      domino or hole, H - v is DH, and so is K - v for every K inside V(H):
+      the pass keeps v with no test.  A twin of v lies outside R and sees
+      exactly v's neighbours in R - v, so `_twin_free` finds every v that
+      never had one, in O(sum of deg u over R).  H is `graph` for a
+      handed-in R, and G[C] or the trial for an R found here, when that is
+      connected: `is_distance_hereditary` prunes only its first non-DH
+      component.  When every vertex of a handed-in R is settled, every
+      non-DH induced subgraph of the graph contains R, so R is returned
+      before C is computed.
     - **Break.**  At the first vertex above max(R) the answer is R.  A
       vertex kept so far was kept because K minus it was DH, so it lies in
       every non-DH set inside K, and so in R; every later vertex lies
       outside R and is deleted, as the rest still contains R.
-    - **Stop rule.**  Whenever K = R, G[R] is classified once; if it is a
-      minimal non-DH graph M (`minimal_non_dh_family`), the plain pass would
-      end with exactly M, so the pass returns it.  A later j in M is kept,
-      as the 2-core of K - {j} lies in M - {j}, which is DH because M is
-      minimal, and every other vertex is settled as under Break.
+    - **Stop rule.**  Each R is classified once; whenever K = R and G[R] is
+      a minimal non-DH graph M, the plain pass would end with exactly M, so
+      the pass returns it.  A later j in M is kept, as the 2-core of
+      K - {j} lies in M - {j}, which is DH because M is minimal, and every
+      other vertex is settled as under Break.
 
-    Only a vertex of the current R costs a DH test, so a small obstruction
-    inside a large 2-core costs about |R| tests, not |C|.  The worst case
-    is still |C| + 1 DH tests, each on a 2-core, so O(n(m + n log n)), as
-    when R is most of a prime 2-core.
+    Only a vertex of the current R that may have had a twin, or of an R that
+    is not minimal, costs a DH test, so a small obstruction inside a large
+    2-core costs about |R| tests, not |C|, and none when no vertex outside R
+    looks like a twin.  The worst case is still |C| + 1 DH tests, each on a
+    2-core, so O(n(m + n log n)), as when R is most of a prime 2-core.
     """
+    if residue:
+        live = set(residue)
+        kind, free = _settle(graph, live, range(graph.n))
+        if len(free) == len(live):
+            return _answer(live, kind, family)
     keep = two_core(graph)
-    sub = induced_subgraph(graph, keep)
-    if minimal_non_dh_family(sub) is not None:
-        return tuple(keep)
+    kept = set(keep)
     if not residue:
+        sub = induced_subgraph(graph, keep)
+        kind = minimal_non_dh_family(sub)
+        if kind is not None:
+            return _answer(kept, kind, family)
         found: list[int] = []
         if is_distance_hereditary(sub, found):
             raise AlreadyDH("graph is distance hereditary")
-        residue = [keep[i] for i in found]
-    live = set(residue)
+        live = {keep[i] for i in found}
+        kind, free = _settle(graph, live, kept, sub)
     top = max(live)
-    kept = set(keep)
     for v in keep:
         if v > top:
             break
-        if v not in kept:
+        if v not in kept or v in free:
             continue
         if v in live:
             trial = two_core(graph, kept - {v})
+            sub = induced_subgraph(graph, trial)
             found = []
-            if is_distance_hereditary(induced_subgraph(graph, trial), found):
+            if is_distance_hereditary(sub, found):
                 continue
             kept = set(trial)
             live = {trial[i] for i in found}
             top = max(live)
+            kind, free = _settle(graph, live, kept, sub)
         else:
             kept.discard(v)
-        if len(kept) == len(live) and minimal_non_dh_family(induced_subgraph(graph, live)) is not None:
+        if kind is not None and len(kept) == len(live):
             break
+    return _answer(live, kind, family)
+
+
+def _answer(live: set[int], kind: tuple[str, int | None] | None, family: list | None) -> tuple[int, ...]:
+    if family is not None:
+        family.append(kind)
     return tuple(sorted(live))

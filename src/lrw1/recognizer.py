@@ -237,6 +237,9 @@ def recognize(graph: Graph) -> Certificate:
     """
     parts: list[int] = []
     for comp in connected_components(graph):
+        if len(comp) <= 2:
+            parts.extend(comp)
+            continue
         result = _recognize_connected(induced_subgraph(graph, comp))
         if isinstance(result, ObstructionCertificate):
             return ObstructionCertificate(
@@ -250,8 +253,6 @@ def recognize(graph: Graph) -> Certificate:
 
 
 def _recognize_connected(graph: Graph):
-    if graph.n <= 2:
-        return tuple(range(graph.n))
     residue: list[int] = []
     seq = pruning_sequence(graph, residue)
     if seq is None:
@@ -270,13 +271,14 @@ def non_dh_certificate(graph: Graph, residue: Collection[int] | None = None) -> 
     """The minimal obstruction of a graph known not to be distance hereditary.
 
     `residue`, the live vertices of the graph's failed `pruning_sequence`,
-    spares `non_dh_obstruction` a second pruning of the graph's 2-core.
+    spares `non_dh_obstruction` a second pruning of the graph's 2-core, and
+    the search hands back the family it classified its answer as.
     """
-    vs = non_dh_obstruction(graph, residue)
-    found = minimal_non_dh_family(induced_subgraph(graph, vs))
-    if found is None:
+    found: list[tuple[str, int | None] | None] = []
+    vs = non_dh_obstruction(graph, residue, found)
+    if found[0] is None:
         raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")
-    family, k = found
+    family, k = found[0]
     return ObstructionCertificate(vs, family, hole_length=k)
 
 

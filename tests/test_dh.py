@@ -424,9 +424,10 @@ def _record_dh_tests(monkeypatch):
 
 
 @pytest.mark.parametrize("k4_ids_first, sizes", [
-    # G[C], whose residue is the C5; the C5 vertices, each leaving the K4;
-    # then 5 lies above the residue, which is the answer
-    (False, [11, 4, 4, 4, 4, 4]),
+    # G[C], whose residue is the C5; no vertex outside it has two neighbours
+    # on it, so none of the C5 vertices had a twin, and each is kept with no
+    # test; then 5 lies above the residue, which is the answer
+    (False, [11]),
     # G[C], whose residue is the C5 on 6..10; 0..5 lie outside it and are
     # deleted with no test, which leaves the C5: the stop rule fires
     (True, [11]),
@@ -441,7 +442,7 @@ def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
     _assert_obstruction_matches_reference(g)
 
 
-@pytest.mark.parametrize("k4_ids_first, sizes", [(False, [4, 4, 4, 4, 4]), (True, [])])
+@pytest.mark.parametrize("k4_ids_first, sizes", [(False, []), (True, [])])
 def test_recognize_hands_its_residue_to_the_search(monkeypatch, k4_ids_first, sizes):
     # the same trials as above, less the test of G[C]: the recogniser's own
     # failed pruning supplies the residue
@@ -452,16 +453,54 @@ def test_recognize_hands_its_residue_to_the_search(monkeypatch, k4_ids_first, si
     assert cert.vertices == (tuple(range(6, 11)) if k4_ids_first else tuple(range(5)))
 
 
-@pytest.mark.parametrize("c5_ids_first, sizes", [(False, []), (True, [329] * 5)])
+@pytest.mark.parametrize("c5_ids_first, sizes", [(False, []), (True, [])])
 def test_hung_c5_costs_no_test_per_2_core_vertex(monkeypatch, c5_ids_first, sizes):
-    # a 2-core of 334 vertices: one trial per C5 vertex when the C5 comes
-    # first, and none when all 329 others lie below the residue
+    # a 2-core of 334 vertices: no C5 vertex had a twin during the
+    # recogniser's pruning, so the residue is the answer wherever it lies
     g = hung_c5(400, c5_ids_first)
     tested = _record_dh_tests(monkeypatch)
     cert = recognize(g)
     assert tested == sizes
     assert cert.family == "hole"
     assert cert.vertices == (tuple(range(5)) if c5_ids_first else tuple(range(400, 405)))
+
+
+def test_a_residue_vertex_that_had_a_twin_still_costs_a_test(monkeypatch):
+    # the residue is the hole 1-4-5-3-6, and 0 was a false twin of 1
+    g = Graph(7, [(0, 4), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5)])
+    tested = _record_dh_tests(monkeypatch)
+    cert = recognize(g)
+    assert tested == [4]
+    assert cert.vertices == (1, 3, 4, 5, 6)
+    assert cert.family == "hole"
+
+
+def test_a_residue_vertex_with_no_twin_decides_its_own_deletion():
+    # the lemma behind the search's settled vertices: when no vertex outside
+    # R sees exactly v's neighbours in R - v, G - v is DH iff G[R - v] is
+    for g in _connected_fixtures(7):
+        residue = []
+        if pruning_sequence(g, residue) is not None:
+            continue
+        live = set(residue)
+        for v in dh._twin_free(g, live, range(g.n)):
+            rest = [u for u in range(g.n) if u != v]
+            assert is_distance_hereditary(induced_subgraph(g, rest)) == is_distance_hereditary(
+                induced_subgraph(g, live - {v})), (g, v)
+
+
+def test_a_minimal_residue_of_one_component_is_not_settled_when_another_is_non_dh():
+    # G[C] is two C5s, and its DH test hands back the first; deleting 0
+    # leaves the second, so 0 is deleted and the answer is the second
+    g = disjoint_union(cycle_graph(5), cycle_graph(5))
+    assert non_dh_obstruction(g) == tuple(range(5, 10)) == oracle.reference_non_dh_obstruction(g)
+
+
+def test_obstruction_from_a_handed_in_residue_matches_reference_up_to_7():
+    for g in _connected_fixtures(7):
+        residue = []
+        if pruning_sequence(g, residue) is None:
+            assert non_dh_obstruction(g, residue) == oracle.reference_non_dh_obstruction(g), g
 
 
 def _assert_residue(g, residue):
