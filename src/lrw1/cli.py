@@ -181,7 +181,7 @@ def _cmd_decompose(args) -> int:
     residue: list[int] = []
     seq = pruning_sequence(graph, residue)
     if seq is None:
-        cert = recognizer.non_dh_certificate(graph, residue)
+        cert = recognizer.non_dh_certificate(graph, pruning_residue=residue)
         vs = " ".join(str(graph.labels[v]) for v in cert.vertices)
         print(f"not distance hereditary; obstruction [{cert.family}]: {vs}")
         return EXIT_OBSTRUCTION

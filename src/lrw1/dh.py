@@ -27,15 +27,12 @@ vertex outside R is deleted with no test, a vertex of R gets one trial,
 peeled back to its 2-core, whose own residue replaces R when it is non-DH,
 and the pass ends at the first vertex above max(R), or as soon as the kept
 set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
-The failed pruning also settles trials on its own: a vertex v of R that
-never had a twin during it anchored pendant steps only, so the graph minus v
-is DH exactly when G[R - v] is, and when G[R] is one of the four, v is kept
-with no test.  A vertex of R costs a DH test only when it may have had a
-twin or R is not one of the four, so a small obstruction in a large 2-core
-costs about |R| tests, and never more than |C| + 1 in all, O(n(m + n log n)).
-There is none at all when the 2-core is one of the four, as for a hole, nor
-when no vertex of a handed-in minimal R may have had a twin, as for a C5
-hung on a large DH graph.
+The failed pruning also settles trials: when G[R] is one of the four, a
+vertex of R that never had a twin during it is kept with no test.  So a
+vertex of R costs a DH test only when it may have had a twin or R is not
+one of the four: about |R| tests for a small obstruction in a large 2-core,
+none for a hole or a C5 hung on a large DH graph, and never more than
+|C| + 1 in all, O(n(m + n log n)).
 `oracle.reference_non_dh_obstruction` restarts at the lowest id after every
 deletion and tries every vertex, up to about n^2 DH tests; the tests require
 the two to return the same vertex tuple.
@@ -439,12 +436,17 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
 
 
 def _twin_free(graph: Graph, live: set[int], inside: Container[int]) -> set[int]:
-    """The vertices v of `live` that no vertex of `inside` outside `live` sees
-    as v does: none is adjacent to exactly v's neighbours in live - {v}.
+    """The vertices v of `live` such that no vertex of `inside` outside `live`
+    is adjacent to exactly v's neighbours in live - {v}, in O(sum of deg u
+    over live).  A twin of v during a pruning that left `live` as its residue
+    would be one, so these vertices never had a twin.
 
-    A twin x of v at any step of a pruning that left `live` as its residue is
-    such a vertex, since twins agree on every live vertex but themselves, so
-    a vertex returned never had a twin.  Costs O(sum of deg u over live).
+    Open lemma: the check may never change the answer.  A twin x of v was
+    pruned while v was removable, so x < v, as the pruner takes the smallest
+    removable id, and the search deletes x, which lies outside the residue,
+    before it reaches v.  Unproved; a change that drops the check drops the
+    test that pins its cost with it,
+    `test_a_residue_vertex_that_had_a_twin_still_costs_a_test`.
     """
     traces: dict[int, set[int]] = {}
     for u in live:
@@ -453,8 +455,6 @@ def _twin_free(graph: Graph, live: set[int], inside: Container[int]) -> set[int]
                 traces.setdefault(x, set()).add(u)
     # v has two or more neighbours in live, so one vertex sees fewer
     seen = {frozenset(t) for t in traces.values() if len(t) > 1}
-    if not seen:
-        return set(live)
     free = set()
     for v in live:
         nb = graph.adj[v] & live
@@ -472,15 +472,7 @@ def _settle(
     connected.  `pruned` is G[inside] when that is not yet known, and None
     when G[inside] is `graph`, whose pruning fails only when it is connected.
     """
-    if len(live) > 6:
-        # the only minimal non-DH graphs above 6 vertices are holes, and a
-        # residue is connected, so it is a hole when each of its vertices has
-        # two neighbours in it
-        if any(len(graph.adj[v] & live) != 2 for v in live):
-            return None, set()
-        kind: tuple[str, int | None] | None = ("hole", len(live))
-    else:
-        kind = minimal_non_dh_family(induced_subgraph(graph, live))
+    kind = minimal_non_dh_family(induced_subgraph(graph, live))
     if kind is None or pruned is not None and len(reach(pruned.adj, 0, set())) < pruned.n:
         return kind, set()
     return kind, _twin_free(graph, live, inside)
@@ -488,7 +480,8 @@ def _settle(
 
 def non_dh_obstruction(
     graph: Graph,
-    residue: Collection[int] | None = None,
+    *,
+    pruning_residue: Collection[int] | None = None,
     family: list[tuple[str, int | None] | None] | None = None,
 ) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
@@ -509,8 +502,10 @@ def non_dh_obstruction(
       2-core of G[K ∩ C], so every vertex outside C would be deleted and no
       decision on a vertex of C depends on them.
 
-    `residue` is the residue R of a failed `pruning_sequence` of `graph`,
-    which is then connected; without one, R is the residue of the one DH
+    `pruning_residue` must be the residue R of a failed `pruning_sequence`
+    of `graph` itself, which is then connected; any other vertex set, even a
+    non-DH one, may give a wrong tuple, since the settled rule below reads
+    trials off that pruning.  Without one, R is the residue of the one DH
     test on G[C], which raises `AlreadyDH` when G[C] is DH.  C is classified
     before that test, so a hole, or a C that is already a house, gem or
     domino, is returned with no DH test.  The pass keeps R inside K and does
@@ -555,14 +550,14 @@ def non_dh_obstruction(
     looks like a twin.  The worst case is still |C| + 1 DH tests, each on a
     2-core, so O(n(m + n log n)), as when R is most of a prime 2-core.
     """
-    if residue:
-        live = set(residue)
+    if pruning_residue:
+        live = set(pruning_residue)
         kind, free = _settle(graph, live, range(graph.n))
         if len(free) == len(live):
             return _answer(live, kind, family)
     keep = two_core(graph)
     kept = set(keep)
-    if not residue:
+    if not pruning_residue:
         sub = induced_subgraph(graph, keep)
         kind = minimal_non_dh_family(sub)
         if kind is not None:

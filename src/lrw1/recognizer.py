@@ -256,7 +256,7 @@ def _recognize_connected(graph: Graph):
     residue: list[int] = []
     seq = pruning_sequence(graph, residue)
     if seq is None:
-        return non_dh_certificate(graph, residue)
+        return non_dh_certificate(graph, pruning_residue=residue)
     tree = split_tree(canonical_decomposition_dh(graph, seq))
     if tree.is_path():
         return ordering_from_path_tree(tree)
@@ -267,15 +267,16 @@ def _recognize_connected(graph: Graph):
     )
 
 
-def non_dh_certificate(graph: Graph, residue: Collection[int] | None = None) -> ObstructionCertificate:
+def non_dh_certificate(graph: Graph, *, pruning_residue: Collection[int] | None = None) -> ObstructionCertificate:
     """The minimal obstruction of a graph known not to be distance hereditary.
 
-    `residue`, the live vertices of the graph's failed `pruning_sequence`,
-    spares `non_dh_obstruction` a second pruning of the graph's 2-core, and
-    the search hands back the family it classified its answer as.
+    `pruning_residue`, the live vertices of a failed `pruning_sequence` of
+    this very graph and no other set (see `non_dh_obstruction`), spares the
+    search a second pruning of the graph's 2-core, and the search hands back
+    the family it classified its answer as.
     """
     found: list[tuple[str, int | None] | None] = []
-    vs = non_dh_obstruction(graph, residue, found)
+    vs = non_dh_obstruction(graph, pruning_residue=pruning_residue, family=found)
     if found[0] is None:
         raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")
     family, k = found[0]

@@ -500,7 +500,7 @@ def test_obstruction_from_a_handed_in_residue_matches_reference_up_to_7():
     for g in _connected_fixtures(7):
         residue = []
         if pruning_sequence(g, residue) is None:
-            assert non_dh_obstruction(g, residue) == oracle.reference_non_dh_obstruction(g), g
+            assert non_dh_obstruction(g, pruning_residue=residue) == oracle.reference_non_dh_obstruction(g), g
 
 
 def _assert_residue(g, residue):
@@ -524,7 +524,7 @@ def _check_residues(g):
         residue = []
         if pruning_sequence(h, residue) is None:
             _assert_residue(h, residue)
-            assert non_dh_obstruction(h, residue) == non_dh_obstruction(h)
+            assert non_dh_obstruction(h, pruning_residue=residue) == non_dh_obstruction(h)
         else:
             assert residue == []
     residue = []
