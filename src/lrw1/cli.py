@@ -73,10 +73,10 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
     if isinstance(certificate, OrderingCertificate):
         return {
             "status": "lrw_le_1",
-            "ordering": [graph.labels[v] for v in certificate.order],
+            "ordering": list(certificate.order),
         }
     obstruction = {
-        "vertices": [graph.labels[v] for v in certificate.vertices],
+        "vertices": list(certificate.vertices),
         "family": certificate.family,
     }
     if certificate.family == "dh_star3":
@@ -87,10 +87,9 @@ def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
 def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
     """Certificate from its JSON form; ParseError naming a missing key, a
     status other than "lrw_le_1" or "lrw_ge_2", a value of the wrong JSON
-    type, or a label that is not a vertex label.  A label must have the type
-    of the vertex label it names: JSON true and 1.0 are equal to 1 in Python
-    but name no vertex labelled 1."""
-    ids = {label: v for v, label in enumerate(graph.labels)}
+    type, or a label that is not a vertex label.  A vertex label is an
+    integer in 0..n-1: JSON true and 1.0 are equal to 1 in Python but name
+    no vertex."""
     _require_type(payload, dict, "the certificate")
     try:
         status = payload["status"]
@@ -98,28 +97,22 @@ def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
             raise ParseError(f"certificate status {status!r} is neither 'lrw_le_1' nor 'lrw_ge_2'")
         ordered = status == "lrw_le_1"
         if ordered:
-            labels = payload["ordering"]
-            _require_type(labels, list, "'ordering'")
+            vs = payload["ordering"]
+            _require_type(vs, list, "'ordering'")
         else:
             obstruction = payload["obstruction"]
             _require_type(obstruction, dict, "'obstruction'")
-            labels = obstruction["vertices"]
-            _require_type(labels, list, "'vertices'")
+            vs = obstruction["vertices"]
+            _require_type(vs, list, "'vertices'")
             family = obstruction["family"]
             catalog_index = obstruction.get("catalog_index")
             if catalog_index is not None:
                 _require_type(catalog_index, int, "'catalog_index'")
     except KeyError as exc:
         raise ParseError(f"certificate lacks the key {exc}") from None
-    vs = []
-    for label in labels:
-        try:
-            v = ids[label]
-        except (KeyError, TypeError):  # TypeError: an unhashable label such as a list
-            v = -1
-        if v < 0 or type(label) is not type(graph.labels[v]):
-            raise ParseError(f"certificate names {label!r}, which is not a vertex label")
-        vs.append(v)
+    for v in vs:
+        if type(v) is not int or not 0 <= v < graph.n:  # JSON true is a bool, not an int
+            raise ParseError(f"certificate names {v!r}, which is not a vertex label")
     if ordered:
         return OrderingCertificate(tuple(vs))
     vertices = tuple(sorted(vs))
@@ -154,10 +147,10 @@ def _cmd_recognize(args) -> int:
     if args.json:
         print(json.dumps(certificate_to_json(graph, certificate)))
     elif isinstance(certificate, OrderingCertificate):
-        order = " ".join(str(graph.labels[v]) for v in certificate.order)
+        order = " ".join(str(v) for v in certificate.order)
         print(f"linear rank-width <= 1; ordering: {order}")
     else:
-        vs = " ".join(str(graph.labels[v]) for v in certificate.vertices)
+        vs = " ".join(str(v) for v in certificate.vertices)
         family = certificate.family
         if family == "hole":
             family = f"hole({certificate.hole_length})"
@@ -182,17 +175,17 @@ def _cmd_decompose(args) -> int:
     seq = pruning_sequence(graph, residue)
     if seq is None:
         cert = recognizer.non_dh_certificate(graph, pruning_residue=residue)
-        vs = " ".join(str(graph.labels[v]) for v in cert.vertices)
+        vs = " ".join(str(v) for v in cert.vertices)
         print(f"not distance hereditary; obstruction [{cert.family}]: {vs}")
         return EXIT_OBSTRUCTION
     decomposition = canonical_decomposition_dh(graph, seq)
     tree = split_tree(decomposition)
     for block in decomposition.blocks:
-        own = ", ".join(str(graph.labels[v]) for v in block.own_vertices)
+        own = ", ".join(str(v) for v in block.own_vertices)
         detail = block.kind
         if block.kind == "star":
             centre = block.centre
-            detail += " centred at " + ("a marker" if centre < 0 else str(graph.labels[centre]))
+            detail += " centred at " + ("a marker" if centre < 0 else str(centre))
         print(f"block {block.id}: {detail}; vertices [{own}]; size {len(block.vertices)}")
     print(f"split tree is a path: {'yes' if tree.is_path() else 'no'}")
     if args.dot_sd:
@@ -206,7 +199,7 @@ def _cmd_lrw_exact(args) -> int:
     graph = _load_graph(args)
     value, order = oracle.brute_lrw_ordering(graph)
     print(f"linear rank-width = {value}")
-    print("optimal ordering: " + " ".join(str(graph.labels[v]) for v in order))
+    print("optimal ordering: " + " ".join(str(v) for v in order))
     return EXIT_OK
 
 

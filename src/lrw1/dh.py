@@ -27,12 +27,12 @@ vertex outside R is deleted with no test, a vertex of R gets one trial,
 peeled back to its 2-core, whose own residue replaces R when it is non-DH,
 and the pass ends at the first vertex above max(R), or as soon as the kept
 set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
-The failed pruning also settles trials: when G[R] is one of the four, a
-vertex of R that never had a twin during it is kept with no test.  So a
-vertex of R costs a DH test only when it may have had a twin or R is not
-one of the four: about |R| tests for a small obstruction in a large 2-core,
-none for a hole or a C5 hung on a large DH graph, and never more than
-|C| + 1 in all, O(n(m + n log n)).
+The failed pruning also settles the search: when G[R] is one of the four
+and the pruned graph is connected, R is the answer, as the proof in
+`non_dh_obstruction` shows.  So only an R that is not one of the four, or
+the residue of a disconnected graph, costs DH tests: none for a hole or a
+small obstruction hung on a large DH graph, and never more than |C| + 1 in
+all, O(n(m + n log n)).
 `oracle.reference_non_dh_obstruction` restarts at the lowest id after every
 deletion and tries every vertex, up to about n^2 DH tests; the tests require
 the two to return the same vertex tuple.
@@ -41,7 +41,7 @@ the two to return the same vertex tuple.
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Container
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
@@ -435,47 +435,12 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
     return None
 
 
-def _twin_free(graph: Graph, live: set[int], inside: Container[int]) -> set[int]:
-    """The vertices v of `live` such that no vertex of `inside` outside `live`
-    is adjacent to exactly v's neighbours in live - {v}, in O(sum of deg u
-    over live).  A twin of v during a pruning that left `live` as its residue
-    would be one, so these vertices never had a twin.
-
-    Open lemma: the check may never change the answer.  A twin x of v was
-    pruned while v was removable, so x < v, as the pruner takes the smallest
-    removable id, and the search deletes x, which lies outside the residue,
-    before it reaches v.  Unproved; a change that drops the check drops the
-    test that pins its cost with it,
-    `test_a_residue_vertex_that_had_a_twin_still_costs_a_test`.
-    """
-    traces: dict[int, set[int]] = {}
-    for u in live:
-        for x in graph.adj[u]:
-            if x not in live and x in inside:
-                traces.setdefault(x, set()).add(u)
-    # v has two or more neighbours in live, so one vertex sees fewer
-    seen = {frozenset(t) for t in traces.values() if len(t) > 1}
-    free = set()
-    for v in live:
-        nb = graph.adj[v] & live
-        if nb not in seen and nb | {v} not in seen:
-            free.add(v)
-    return free
-
-
-def _settle(
-    graph: Graph, live: set[int], inside: Container[int], pruned: Graph | None = None
-) -> tuple[tuple[str, int | None] | None, set[int]]:
-    """The family of G[live], the residue of a failed pruning of G[inside],
-    and the vertices of live that the pruning settles: those `_twin_free`
-    passes, when G[live] is a minimal non-DH graph and G[inside] is
-    connected.  `pruned` is G[inside] when that is not yet known, and None
-    when G[inside] is `graph`, whose pruning fails only when it is connected.
-    """
+def _settle(graph: Graph, live: set[int], pruned: Graph) -> tuple[tuple[str, int | None] | None, bool]:
+    """The family of G[live], the residue of a failed pruning of `pruned`,
+    and whether that settles the search: G[live] is a minimal non-DH graph
+    and `pruned` is connected."""
     kind = minimal_non_dh_family(induced_subgraph(graph, live))
-    if kind is None or pruned is not None and len(reach(pruned.adj, 0, set())) < pruned.n:
-        return kind, set()
-    return kind, _twin_free(graph, live, inside)
+    return kind, kind is not None and len(reach(pruned.adj, 0, set())) == pruned.n
 
 
 def non_dh_obstruction(
@@ -504,13 +469,12 @@ def non_dh_obstruction(
 
     `pruning_residue` must be the residue R of a failed `pruning_sequence`
     of `graph` itself, which is then connected; any other vertex set, even a
-    non-DH one, may give a wrong tuple, since the settled rule below reads
-    trials off that pruning.  Without one, R is the residue of the one DH
-    test on G[C], which raises `AlreadyDH` when G[C] is DH.  C is classified
-    before that test, so a hole, or a C that is already a house, gem or
-    domino, is returned with no DH test.  The pass keeps R inside K and does
-    the plain pass's work with five shortcuts, none of which changes the
-    tuple:
+    non-DH one, may give a wrong tuple, since the settled rule below rests
+    on that pruning.  Without one, R is the residue of the one DH test on
+    G[C], which raises `AlreadyDH` when G[C] is DH.  C is classified before
+    that test, so a hole, or a C that is already a house, gem or domino, is
+    returned with no DH test.  The pass keeps R inside K and does the plain
+    pass's work with five shortcuts, none of which changes the tuple:
 
     - **Skip.**  A vertex outside R is deleted with no test, since the rest
       of K still contains R and so is non-DH.
@@ -520,20 +484,22 @@ def non_dh_obstruction(
       and its own residue becomes R; the vertices peeled out of it are
       skipped, since the plain pass deletes each of them: its 2-core, hence
       its DH status, does not change without them.
-    - **Settled.**  Let S be a failed pruning of a graph H with residue R,
-      and let v in R never have had a twin during S.  Every step of S
-      anchored at v is then a pendant step, whose vertex is left isolated in
-      H - v, and every other step is still a pendant or twin removal in
-      H - v, so H - v is DH iff H[R - v] is.  If H[R] is a house, gem,
-      domino or hole, H - v is DH, and so is K - v for every K inside V(H):
-      the pass keeps v with no test.  A twin of v lies outside R and sees
-      exactly v's neighbours in R - v, so `_twin_free` finds every v that
-      never had one, in O(sum of deg u over R).  H is `graph` for a
-      handed-in R, and G[C] or the trial for an R found here, when that is
-      connected: `is_distance_hereditary` prunes only its first non-DH
-      component.  When every vertex of a handed-in R is settled, every
-      non-DH induced subgraph of the graph contains R, so R is returned
-      before C is computed.
+    - **Settled.**  A minimal R is the answer.  Let S be the failed pruning
+      of a connected graph H, with residue R, where H[R] is a hole, house,
+      gem or domino.  For v in R, let W = (R - v) ∪ {u ∉ R : u > v}.  S
+      always removes the smallest removable id x, and a twin step's anchor
+      is the next member of x's class, so the anchor is above x.  Replay in
+      H[W] the steps of S whose x lies in W: a twin step has x > v, so its
+      anchor is above v, lies in W and is still x's twin; a pendant step
+      leaves x a pendant or an isolated vertex.  So H[W] is DH iff H[R - v]
+      is, and H[R - v] is DH because H[R] is minimal.  When the pass
+      reaches v, every vertex it has kept lies in R (see Break), so for K
+      inside V(H) its kept set minus v lies inside W, and v is kept: every
+      vertex of R is kept, and the answer, a minimal non-DH set containing
+      R, is R.  H is `graph` for a handed-in R, which is then returned
+      before C is computed, and G[C] or the trial for an R found here, when
+      that is connected: `is_distance_hereditary` prunes only its first
+      non-DH component.
     - **Break.**  At the first vertex above max(R) the answer is R.  A
       vertex kept so far was kept because K minus it was DH, so it lies in
       every non-DH set inside K, and so in R; every later vertex lies
@@ -542,18 +508,19 @@ def non_dh_obstruction(
       a minimal non-DH graph M, the plain pass would end with exactly M, so
       the pass returns it.  A later j in M is kept, as the 2-core of
       K - {j} lies in M - {j}, which is DH because M is minimal, and every
-      other vertex is settled as under Break.
+      other vertex is settled as under Break.  This serves a minimal R
+      whose pruned graph is disconnected, which Settled leaves open.
 
-    Only a vertex of the current R that may have had a twin, or of an R that
-    is not minimal, costs a DH test, so a small obstruction inside a large
-    2-core costs about |R| tests, not |C|, and none when no vertex outside R
-    looks like a twin.  The worst case is still |C| + 1 DH tests, each on a
-    2-core, so O(n(m + n log n)), as when R is most of a prime 2-core.
+    Only a vertex of an R that is not minimal, or whose pruned graph is
+    disconnected, costs a DH test, so a search whose first R is minimal
+    costs at most the one test of G[C], and none when R is handed in.  The
+    worst case is still |C| + 1 DH tests, each on a 2-core, so
+    O(n(m + n log n)), as when R is most of a prime 2-core.
     """
     if pruning_residue:
         live = set(pruning_residue)
-        kind, free = _settle(graph, live, range(graph.n))
-        if len(free) == len(live):
+        kind = minimal_non_dh_family(induced_subgraph(graph, live))
+        if kind is not None:  # settled, as `graph` is connected
             return _answer(live, kind, family)
     keep = two_core(graph)
     kept = set(keep)
@@ -566,12 +533,14 @@ def non_dh_obstruction(
         if is_distance_hereditary(sub, found):
             raise AlreadyDH("graph is distance hereditary")
         live = {keep[i] for i in found}
-        kind, free = _settle(graph, live, kept, sub)
+        kind, settled = _settle(graph, live, sub)
+        if settled:
+            return _answer(live, kind, family)
     top = max(live)
     for v in keep:
         if v > top:
             break
-        if v not in kept or v in free:
+        if v not in kept:
             continue
         if v in live:
             trial = two_core(graph, kept - {v})
@@ -582,7 +551,9 @@ def non_dh_obstruction(
             kept = set(trial)
             live = {trial[i] for i in found}
             top = max(live)
-            kind, free = _settle(graph, live, kept, sub)
+            kind, settled = _settle(graph, live, sub)
+            if settled:
+                break
         else:
             kept.discard(v)
         if kind is not None and len(kept) == len(live):

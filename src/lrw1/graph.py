@@ -1,16 +1,16 @@
-"""Labeled simple graphs and the structural operations built on them.
+"""Simple graphs and the structural operations built on them.
 
-Vertices are dense ids 0..n-1; input names live in a label table so results
-can always be reported in the caller's terms.  Graphs are immutable and every
-operation returns a fresh graph.  Equality is exact (same vertex count, same
-labels, same edge set), never up to isomorphism: certificates must point at
-concrete input vertices.
+Vertices are dense ids 0..n-1, and a vertex is its id: both input formats
+number vertices 0..n-1, so results are reported in the input's own terms.
+Graphs are immutable and every operation returns a fresh graph.  Equality is
+exact (same vertex count, same edge set), never up to isomorphism:
+certificates must point at concrete input vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import InvalidVertex, NotAnEdge, ParseError, TooLarge
 
@@ -18,9 +18,9 @@ from .errors import InvalidVertex, NotAnEdge, ParseError, TooLarge
 class Graph:
     """Undirected loop-free graph with frozen-set adjacency."""
 
-    __slots__ = ("n", "labels", "adj", "_hash", "_masks")
+    __slots__ = ("n", "adj", "_hash", "_masks")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Sequence | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
@@ -39,9 +39,6 @@ class Graph:
         # collection empties the lists, so in a long-lived caller each build
         # would leave one more block behind (tests/test_tuple_rule.py).
         self.adj = tuple([frozenset(s) for s in adj])
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
-        if len(self.labels) != n:
-            raise ValueError("label table size must match vertex count")
         self._hash = None
         self._masks = None
 
@@ -73,11 +70,11 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.labels == other.labels and self.adj == other.adj
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self.labels, self.edges))
+            self._hash = hash((self.n, self.edges))
         return self._hash
 
     def __repr__(self) -> str:
@@ -90,12 +87,12 @@ class Graph:
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by a vertex subset, reindexed to dense ids.
 
-    Vertices keep their original labels, so two induced subgraphs taken along
-    different routes agree exactly when their label/edge structure agrees.
-    Once every id is checked to be in range, a set that holds all n of them,
-    in any order and with any repeats, induces the graph itself, which is
-    returned as it is: G[V] keeps the same ids and labels, and a `Graph`
-    cannot change.
+    The subset's vertices are renumbered in ascending order, so vertex i of
+    the result is the i-th smallest member of the subset, `sorted(set(
+    vertices))[i]`; callers map results back through that list.  Once every
+    id is checked to be in range, a set that holds all n of them, in any
+    order and with any repeats, induces the graph itself, which is returned
+    as it is: G[V] keeps the same ids, and a `Graph` cannot change.
     """
     vs = sorted(set(vertices))
     for v in vs:
@@ -105,7 +102,7 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
         return graph
     pos = {v: i for i, v in enumerate(vs)}
     edges = [(pos[u], pos[v]) for u in vs for v in graph.adj[u] if v in pos and u < v]
-    return Graph(len(vs), edges, labels=[graph.labels[v] for v in vs])
+    return Graph(len(vs), edges)
 
 
 def local_complement(graph: Graph, x: int) -> Graph:
@@ -123,7 +120,7 @@ def local_complement(graph: Graph, x: int) -> Graph:
                 adj[u].add(w)
                 adj[w].add(u)
     edges = [(u, v) for u in range(graph.n) for v in adj[u] if u < v]
-    return Graph(graph.n, edges, labels=graph.labels)
+    return Graph(graph.n, edges)
 
 
 def pivot(graph: Graph, x: int, y: int) -> Graph:

@@ -410,7 +410,7 @@ def recompose(decomposition: Decomposition) -> Graph:
     if set(adj) != set(range(decomposition.origin.n)):
         raise MalformedDecomposition("recomposition changed the vertex set")
     edges = [(u, v) for u in adj for v in adj[u] if u < v]
-    return Graph(decomposition.origin.n, edges, labels=decomposition.origin.labels)
+    return Graph(decomposition.origin.n, edges)
 
 
 # -- top-down canonical decomposition ---------------------------------------------

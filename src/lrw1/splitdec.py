@@ -355,7 +355,7 @@ def decomposition_to_dot(decomposition: Decomposition) -> str:
     for blk in d.blocks:
         for v in blk.vertices:
             if v >= 0:
-                lines.append(f'  v{v} [label="{d.origin.labels[v]}"];')
+                lines.append(f'  v{v} [label="{v}"];')
             else:
                 lines.append(f"  m{-v} [shape=point];")
     for blk in d.blocks:

@@ -33,9 +33,10 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def relabelled_edge_set(graph: Graph) -> set[frozenset]:
-    """Edges expressed in label space, for comparing induced subgraphs."""
-    return {frozenset((graph.labels[u], graph.labels[v])) for u, v in graph.edges}
+def relabelled_edge_set(graph: Graph, ids: list[int]) -> set[frozenset]:
+    """Edges with each vertex v named ids[v], for comparing induced
+    subgraphs: vertex i of G[s] is sorted(s)[i] in G."""
+    return {frozenset((ids[u], ids[v])) for u, v in graph.edges}
 
 
 def hung_c5(n: int, c5_ids_first: bool) -> Graph:

@@ -84,6 +84,7 @@ def test_json_round_trip(tmp_path, capsys):
     ({"status": "bogus", "obstruction": {"vertices": [0, 1, 2], "family": "hole"}}, "'bogus'"),
     ({"status": ["x"], "obstruction": {"vertices": [0, 1, 2], "family": "hole"}}, r"\['x'\]"),
     ({"status": None}, "None"),
+    ({"status": "lrw_le_1", "ordering": [0, -1, 2]}, "names -1, which is not a vertex label"),
 ])
 def test_malformed_certificate_raises_parse_error(payload, named):
     with pytest.raises(ParseError, match=named):

@@ -333,7 +333,11 @@ def test_obstruction_requires_non_dh():
 
 
 def _assert_obstruction_matches_reference(g):
-    assert non_dh_obstruction(g) == oracle.reference_non_dh_obstruction(g), g
+    reference = oracle.reference_non_dh_obstruction(g)
+    assert non_dh_obstruction(g) == reference, g
+    residue = []
+    if len(connected_components(g)) == 1 and pruning_sequence(g, residue) is None:
+        assert non_dh_obstruction(g, pruning_residue=residue) == reference, g
 
 
 def test_obstruction_matches_reference_on_fixtures_up_to_7():
@@ -424,12 +428,10 @@ def _record_dh_tests(monkeypatch):
 
 
 @pytest.mark.parametrize("k4_ids_first, sizes", [
-    # G[C], whose residue is the C5; no vertex outside it has two neighbours
-    # on it, so none of the C5 vertices had a twin, and each is kept with no
-    # test; then 5 lies above the residue, which is the answer
+    # G[C], whose residue is the C5; G[C] is connected and the C5 minimal,
+    # so the residue is the answer
     (False, [11]),
-    # G[C], whose residue is the C5 on 6..10; 0..5 lie outside it and are
-    # deleted with no test, which leaves the C5: the stop rule fires
+    # G[C], whose residue is the C5 on 6..10, which is the answer likewise
     (True, [11]),
 ])
 def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
@@ -455,8 +457,8 @@ def test_recognize_hands_its_residue_to_the_search(monkeypatch, k4_ids_first, si
 
 @pytest.mark.parametrize("c5_ids_first, sizes", [(False, []), (True, [])])
 def test_hung_c5_costs_no_test_per_2_core_vertex(monkeypatch, c5_ids_first, sizes):
-    # a 2-core of 334 vertices: no C5 vertex had a twin during the
-    # recogniser's pruning, so the residue is the answer wherever it lies
+    # a 2-core of 334 vertices: the recogniser's pruning leaves the C5, a
+    # minimal residue of a connected graph, so it is the answer wherever it lies
     g = hung_c5(400, c5_ids_first)
     tested = _record_dh_tests(monkeypatch)
     cert = recognize(g)
@@ -465,28 +467,30 @@ def test_hung_c5_costs_no_test_per_2_core_vertex(monkeypatch, c5_ids_first, size
     assert cert.vertices == (tuple(range(5)) if c5_ids_first else tuple(range(400, 405)))
 
 
-def test_a_residue_vertex_that_had_a_twin_still_costs_a_test(monkeypatch):
-    # the residue is the hole 1-4-5-3-6, and 0 was a false twin of 1
+def test_a_residue_vertex_that_had_a_twin_costs_no_test(monkeypatch):
+    # the residue is the hole 1-4-5-3-6, and 0 was a false twin of 1; the
+    # residue is minimal and the graph connected, so it is the answer
     g = Graph(7, [(0, 4), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5)])
     tested = _record_dh_tests(monkeypatch)
     cert = recognize(g)
-    assert tested == [4]
+    assert tested == []
     assert cert.vertices == (1, 3, 4, 5, 6)
     assert cert.family == "hole"
 
 
-def test_a_residue_vertex_with_no_twin_decides_its_own_deletion():
-    # the lemma behind the search's settled vertices: when no vertex outside
-    # R sees exactly v's neighbours in R - v, G - v is DH iff G[R - v] is
+def test_a_minimal_residue_leaves_a_dh_graph_when_one_of_its_vertices_goes():
+    # the lemma behind the settled search: for v in a minimal residue R of a
+    # connected graph, G[(R - v) + every vertex outside R above v] is DH
+    cases = 0
     for g in _connected_fixtures(7):
         residue = []
-        if pruning_sequence(g, residue) is not None:
+        if pruning_sequence(g, residue) is not None or minimal_non_dh_family(induced_subgraph(g, residue)) is None:
             continue
-        live = set(residue)
-        for v in dh._twin_free(g, live, range(g.n)):
-            rest = [u for u in range(g.n) if u != v]
-            assert is_distance_hereditary(induced_subgraph(g, rest)) == is_distance_hereditary(
-                induced_subgraph(g, live - {v})), (g, v)
+        cases += 1
+        for v in residue:
+            w = [u for u in range(g.n) if u != v and (u in residue or u > v)]
+            assert is_distance_hereditary(induced_subgraph(g, w)), (g, v)
+    assert cases > 0
 
 
 def test_a_minimal_residue_of_one_component_is_not_settled_when_another_is_non_dh():

@@ -117,9 +117,10 @@ def test_induced_c5_three_consecutive_is_p3():
 
 
 def test_induced_net_triangle_is_k3():
-    sub = induced_subgraph(net_graph(), [0, 1, 2])
+    s = [2, 0, 1]
+    sub = induced_subgraph(net_graph(), s)
     assert sub == complete_graph(3)
-    assert sub.labels == (0, 1, 2)
+    assert relabelled_edge_set(sub, sorted(s)) == {frozenset(e) for e in [(0, 1), (0, 2), (1, 2)]}
 
 
 def test_induced_rejects_foreign_vertex():
@@ -158,11 +159,13 @@ def test_induced_monotone_via_labels(g, data):
     s = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)).filter(lambda v: v < g.n)))
     t = data.draw(st.sets(st.sampled_from(sorted(s)))) if s else set()
     gs = induced_subgraph(g, s)
-    pos = {lab: i for i, lab in enumerate(gs.labels)}
-    nested = induced_subgraph(gs, [pos[v] for v in t])
+    vs = sorted(s)
+    inner = sorted(vs.index(v) for v in t)
+    nested = induced_subgraph(gs, inner)
     direct = induced_subgraph(g, t)
-    assert relabelled_edge_set(nested) == relabelled_edge_set(direct)
-    assert sorted(nested.labels) == sorted(direct.labels)
+    back = [vs[i] for i in inner]
+    assert relabelled_edge_set(nested, back) == relabelled_edge_set(direct, sorted(t))
+    assert back == sorted(t)
 
 
 @settings(max_examples=60)
@@ -170,7 +173,7 @@ def test_induced_monotone_via_labels(g, data):
 def test_two_core_of_a_subset_is_the_two_core_of_its_induced_subgraph(g, data):
     s = data.draw(st.sets(st.sampled_from(range(g.n)))) if g.n else set()
     sub = induced_subgraph(g, s)
-    assert two_core(g, s) == sorted(sub.labels[v] for v in two_core(sub))
+    assert two_core(g, s) == [sorted(s)[v] for v in two_core(sub)]
     assert two_core(g, range(g.n)) == two_core(g)
 
 
@@ -289,11 +292,13 @@ def test_canonical_form_matches_isomorphism(g, data):
     assert is_isomorphic_small(g, h)
 
 
-def test_graph_equality_is_label_sensitive():
-    a = Graph(2, [(0, 1)])
-    b = Graph(2, [(0, 1)], labels=["x", "y"])
-    assert a != b
-    assert is_isomorphic_small(a, b)
+def test_graph_equality_and_hash_depend_on_n_and_the_edge_set_only():
+    a = Graph(3, [(0, 1), (1, 2)])
+    # the same edge set, given in another order, and taken as an induced subgraph
+    for b in [Graph(3, [(2, 1), (1, 0)]), induced_subgraph(path_graph(4), [1, 2, 3])]:
+        assert a == b and hash(a) == hash(b)
+    assert a != Graph(3, [(0, 1), (0, 2)]) and is_isomorphic_small(a, Graph(3, [(0, 1), (0, 2)]))
+    assert a != Graph(4, a.edges)
 
 
 def test_star_is_not_complete():

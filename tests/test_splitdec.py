@@ -590,7 +590,7 @@ def test_a_hand_built_copy_of_the_sequence_is_replayed_once(monkeypatch):
 
 def test_a_sequence_proved_on_an_equal_but_distinct_graph_is_replayed(monkeypatch):
     g = oracle.random_dh_graph(30, 2)
-    twin = Graph(g.n, g.edges, g.labels)
+    twin = Graph(g.n, g.edges)
     assert twin == g and twin is not g
     seq = pruning_sequence(twin)
     calls = _counting_replays(monkeypatch)
