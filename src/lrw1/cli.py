@@ -69,7 +69,7 @@ def _load_graph(args) -> Graph:
 # -- certificate JSON ------------------------------------------------------------
 
 
-def certificate_to_json(graph: Graph, certificate: Certificate) -> dict:
+def certificate_to_json(certificate: Certificate) -> dict:
     if isinstance(certificate, OrderingCertificate):
         return {
             "status": "lrw_le_1",
@@ -145,7 +145,7 @@ def _cmd_recognize(args) -> int:
             print(f"certificate failed verification: {outcome.reason}", file=sys.stderr)
             return EXIT_ERROR
     if args.json:
-        print(json.dumps(certificate_to_json(graph, certificate)))
+        print(json.dumps(certificate_to_json(certificate)))
     elif isinstance(certificate, OrderingCertificate):
         order = " ".join(str(v) for v in certificate.order)
         print(f"linear rank-width <= 1; ordering: {order}")

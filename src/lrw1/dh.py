@@ -43,17 +43,19 @@ from __future__ import annotations
 import random
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from functools import reduce
 from heapq import heappop, heappush
-from operator import xor
+from typing import NamedTuple
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
 from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach, two_core
 from .named import domino_graph, gem_graph, house_graph
 
 
-@dataclass(frozen=True)
-class PruningStep:
+class PruningStep(NamedTuple):
+    """One elimination, recorded for each deleted vertex.  A named tuple, as
+    it has no per-step `__dict__` and is built in about half the time of a
+    frozen dataclass."""
+
     removed: int
     kind: str  # "pendant" | "true_twin" | "false_twin"
     anchor: int  # pendant: its neighbour; twins: the surviving twin
@@ -112,14 +114,6 @@ def _twin_classes(adj: tuple[frozenset[int], ...], code: list[int], key: list[in
     return cls, true
 
 
-def _unfile(index: dict[int, list[int]], k: int, c: int) -> None:
-    bucket = index[k]
-    if len(bucket) == 1:
-        del index[k]
-    else:
-        bucket.remove(c)
-
-
 def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningSequence | None:
     """Greedy pendant/twin elimination; None when no elimination exists.
 
@@ -169,9 +163,11 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     one member, its adjacent one-member classes with no other neighbour
     become pendants, and the class is rechecked; when a pendant's one-member
     class leaves, its neighbour's class drops one key term and is rechecked.
-    A recheck is one index lookup per key.  On a match the one-member class
-    merges into its twin's class, whose code takes in its own, so that no
-    other class's key changes.
+    A changed class is taken out of the index and filed again; a one-member
+    class is rechecked as it is filed, against the classes already in the
+    two buckets it joins, so a recheck costs no lookup of its own.  On a
+    match the one-member class merges into its twin's class, whose code
+    takes in its own, so that no other class's key changes.
 
     Setup costs O(n + m): one key per vertex, and each vertex compared once
     with the first vertex of its key.  A merge, and the pendant scan of a
@@ -189,7 +185,8 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     deletes its last vertex, so the live vertices induce as many components
     as the graph has.  A disconnected graph thus either comes to such a
     step or fails with a disconnected residue, and a failed pruning checks
-    the residue's connectivity before it returns None.
+    the residue's connectivity, by one walk over the live vertices, before
+    it returns None.
     """
     n = graph.n
     if n == 0:
@@ -199,7 +196,12 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     code = [rng.getrandbits(64) for _ in range(n)]
     # the keys of the vertices' open neighbourhoods, which become the classes'
     # open keys once each class's code is the XOR of its members' codes
-    key = [reduce(xor, map(code.__getitem__, nb), 0) for nb in adj]
+    key = []
+    for nb in adj:
+        k = 0
+        for u in nb:
+            k ^= code[u]
+        key.append(k)
     cls, true = _twin_classes(adj, code, key)
     # members[c] is None for a class holding only the vertex c, else a heap
     members: list[list[int] | None] = [None] * n
@@ -226,19 +228,47 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
             return c
         return m[0] if len(m) == 1 else None
 
-    def file(c: int) -> None:
-        one = single(c) is not None
-        if one or not true[c]:
-            by_open.setdefault(key[c], []).append(c)
-        if one or true[c]:
-            by_closed.setdefault(key[c] ^ code[c], []).append(c)
+    def file(c: int) -> tuple[list[int] | None, list[int] | None]:
+        """File class c under its open and closed keys, as its kind and size
+        say; the buckets it joined that already held a class, else None."""
+        m = members[c]
+        t = true[c]
+        one = m is None or len(m) == 1
+        opened = closed = None
+        if one or not t:
+            k = key[c]
+            opened = by_open.get(k)
+            if opened is None:
+                by_open[k] = [c]
+            else:
+                opened.append(c)
+        if one or t:
+            k = key[c] ^ code[c]
+            closed = by_closed.get(k)
+            if closed is None:
+                by_closed[k] = [c]
+            else:
+                closed.append(c)
+        return opened, closed
 
     def unfile(c: int) -> None:
-        one = single(c) is not None
-        if one or not true[c]:
-            _unfile(by_open, key[c], c)
-        if one or true[c]:
-            _unfile(by_closed, key[c] ^ code[c], c)
+        m = members[c]
+        t = true[c]
+        one = m is None or len(m) == 1
+        if one or not t:
+            k = key[c]
+            bucket = by_open[k]
+            if len(bucket) == 1:
+                del by_open[k]
+            else:
+                bucket.remove(c)
+        if one or t:
+            k = key[c] ^ code[c]
+            bucket = by_closed[k]
+            if len(bucket) == 1:
+                del by_closed[k]
+            else:
+                bucket.remove(c)
 
     def lone_neighbour(c: int) -> int | None:
         """The one neighbour of each member of class c, when they have degree 1."""
@@ -260,16 +290,6 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
         if not queued[v]:
             queued[v] = 1
             heappush(queue, v)
-
-    def retire(c: int) -> None:
-        """Class c leaves, and each class adjacent to it drops its key term."""
-        unfile(c)
-        for d in nbr[c]:
-            unfile(d)
-            nbr[d].discard(c)
-            key[d] ^= code[c]
-            file(d)
-        nbr[c] = None
 
     def merge(c: int, t: int, closed: int) -> None:
         """The one-member class c joins t, the class of its member's twins.
@@ -298,20 +318,24 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
         file(t)
         push(y)
 
-    def recheck(c: int) -> None:
-        """Queue the member of the one-member class c if it is now a pendant,
-        and merge c into the class of its new twins, if it has any."""
+    def refile(c: int) -> None:
+        """File the one-member class c, unfiled while it changed; queue its
+        member if it is now a pendant, and merge c into the class of its new
+        twins, if it has any, which share one of the two buckets c joins."""
+        opened, closed = file(c)
         if lone_neighbour(c) is not None:
             push(single(c))
         nb = nbr[c]
-        for t in by_open.get(key[c], ()):
-            if t != c and nbr[t] == nb:
-                merge(c, t, 0)
-                return
-        for t in by_closed.get(key[c] ^ code[c], ()):
-            if t != c and t in nb and len(nbr[t]) == len(nb) and nb - nbr[t] == {t}:
-                merge(c, t, 1)
-                return
+        if opened is not None:
+            for t in opened:
+                if t != c and nbr[t] == nb:
+                    merge(c, t, 0)
+                    return
+        if closed is not None:
+            for t in closed:
+                if t != c and t in nb and len(nbr[t]) == len(nb) and nb - nbr[t] == {t}:
+                    merge(c, t, 1)
+                    return
 
     for c in range(n):
         if cls[c] == c:
@@ -320,7 +344,8 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     while len(steps) < n - 1:
         if not queue:
             live = sorted(v for c in range(n) if nbr[c] is not None for v in members[c] or (c,))
-            if len(connected_components(induced_subgraph(graph, live))) != 1:
+            dead = set(range(n)).difference(live)
+            if len(reach(adj, live[0], dead)) != len(live):
                 raise Disconnected("pruning sequences are defined for connected graphs")
             if residue is not None:
                 residue.extend(live)
@@ -342,20 +367,23 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
         steps.append(PruningStep(x, kind, anchor))
         if m is None or len(m) == 1:
             # x is a pendant with no twin: its class leaves with it, and only
-            # its neighbour's class changes
+            # its neighbour's class changes, dropping x's code from its key
             (p,) = nbr[c]
-            retire(c)
-            recheck(p)
+            unfile(c)
+            nbr[c] = None
+            unfile(p)
+            nbr[p].discard(c)
+            key[p] ^= code[c]
+            refile(p)
         elif len(m) == 2:
             # x's class is left with one member, so a one-member class with
             # no other neighbour is now a pendant on it
             unfile(c)
             heappop(m)
-            file(c)
             for d in nbr[c]:
                 if len(nbr[d]) == 1 and single(d) is not None:
                     push(single(d))
-            recheck(c)
+            refile(c)
         else:
             heappop(m)
     seq = PruningSequence(tuple(steps), steps[-1].anchor if steps else 0)

@@ -10,13 +10,21 @@ certificates must point at concrete input vertices.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterable
 
 from .errors import InvalidVertex, NotAnEdge, ParseError, TooLarge
 
 
 class Graph:
-    """Undirected loop-free graph with frozen-set adjacency."""
+    """Undirected loop-free graph with frozen-set adjacency.
+
+    `Graph(n, edges)` checks each edge and collects every vertex's
+    neighbour set.  The parsers, `induced_subgraph` and `local_complement`
+    fill the neighbour sets themselves, with their own checks, and call
+    `_from_sets`, so none of them builds an edge list.  Both ways end in
+    `_freeze`, the one step that freezes the sets.
+    """
 
     __slots__ = ("n", "adj", "_hash", "_masks")
 
@@ -31,14 +39,30 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self.n = n
+        self._freeze(adj)
+
+    @classmethod
+    def _from_sets(cls, adj: list[Iterable[int]]) -> Graph:
+        """The graph in which vertex v has the neighbours adj[v], which the
+        caller has checked to be in range, symmetric and free of loops."""
+        graph = cls.__new__(cls)
+        graph._freeze(adj)
+        return graph
+
+    def _freeze(self, adj: list[Iterable[int]]) -> None:
+        """Take adj over as the adjacency, freezing each entry in place, so that
+        a vertex's set is freed as soon as its frozen copy is made, and a
+        frozenset given is kept as it is."""
+        for v, nb in enumerate(adj):
+            adj[v] = frozenset(nb)
+        self.n = len(adj)
         # Per-graph tuples are built from lists, never from a generator or an
         # iterator of unknown length.  CPython builds such a tuple at a guessed
         # size and shrinks it, so it never comes from the free list of its
         # final size, yet joins that list when freed.  Only a full garbage
         # collection empties the lists, so in a long-lived caller each build
         # would leave one more block behind (tests/test_tuple_rule.py).
-        self.adj = tuple([frozenset(s) for s in adj])
+        self.adj = tuple(adj)
         self._hash = None
         self._masks = None
 
@@ -101,26 +125,19 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     if len(vs) == graph.n:
         return graph
     pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u in vs for v in graph.adj[u] if v in pos and u < v]
-    return Graph(len(vs), edges)
+    adj = graph.adj
+    return Graph._from_sets([frozenset([pos[v] for v in adj[u] if v in pos]) for u in vs])
 
 
 def local_complement(graph: Graph, x: int) -> Graph:
     """Complement the subgraph induced on the neighbourhood of x."""
     if not 0 <= x < graph.n:
         raise InvalidVertex(f"vertex {x} not in graph of order {graph.n}")
-    adj = [set(s) for s in graph.adj]
-    nb = sorted(graph.adj[x])
-    for i, u in enumerate(nb):
-        for w in nb[i + 1:]:
-            if w in adj[u]:
-                adj[u].discard(w)
-                adj[w].discard(u)
-            else:
-                adj[u].add(w)
-                adj[w].add(u)
-    edges = [(u, v) for u in range(graph.n) for v in adj[u] if u < v]
-    return Graph(graph.n, edges)
+    adj = list(graph.adj)
+    nb = graph.adj[x]
+    for u in nb:  # u's neighbours inside N(x) - {u} are complemented
+        adj[u] = adj[u] ^ (nb - {u})
+    return Graph._from_sets(adj)
 
 
 def pivot(graph: Graph, x: int, y: int) -> Graph:
@@ -296,15 +313,16 @@ def serialize_graph(graph: Graph, fmt: str = "edge-list") -> str:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    numbered = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            numbered.append((i, line))
-    if not numbered:
+    """Read the header, count the edge lines, then add each edge to both
+    neighbour sets, so that a wrong edge count is reported before any bad
+    edge line, and each edge line's error carries its line number."""
+    lines = text.splitlines()
+    # the numbers of the lines that are neither blank nor a comment
+    numbers = [no for no, raw in enumerate(lines, 1) if (line := raw.lstrip()) and line[0] != "#"]
+    if not numbers:
         raise ParseError("missing header line 'n m'")
-    head_no, head = numbered[0]
-    parts = head.split()
+    head_no = numbers[0]
+    parts = lines[head_no - 1].split()
     if len(parts) != 2:
         raise ParseError("header must be 'n m'", head_no)
     try:
@@ -313,79 +331,91 @@ def _parse_edge_list(text: str) -> Graph:
         raise ParseError("header must contain two integers", head_no) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", head_no)
-    body = numbered[1:]
-    if len(body) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    seen = set()
-    for line_no, line in body:
-        parts = line.split()
+    if len(numbers) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(numbers) - 1}")
+    ids = list(range(n))  # one int object per vertex, shared by every set holding it
+    adj = [set() for _ in ids]
+    for k in range(1, m + 1):
+        no = numbers[k]
+        parts = lines[no - 1].split()
         if len(parts) != 2:
-            raise ParseError("edge line must be 'u v'", line_no)
+            raise ParseError("edge line must be 'u v'", no)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError("edge endpoints must be integers", line_no) from None
+            raise ParseError("edge endpoints must be integers", no) from None
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in edge ({u},{v})", line_no)
+            raise ParseError(f"vertex out of range in edge ({u},{v})", no)
         if u == v:
-            raise ParseError(f"loop edge at vertex {u}", line_no)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge ({u},{v})", line_no)
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+            raise ParseError(f"loop edge at vertex {u}", no)
+        nb = adj[u]
+        if v in nb:
+            raise ParseError(f"duplicate edge ({u},{v})", no)
+        nb.add(ids[v])
+        adj[v].add(ids[u])
+    return Graph._from_sets(adj)
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63) to chr(126)
+_G6_NONZERO = re.compile(r"[^?]")  # a group with a bit set
+# the set bits of each group value, as offsets from its most significant bit
+_G6_BITS = [[b for b in range(6) if d >> (5 - b) & 1] for d in range(64)]
 
 
 def _parse_graph6(text: str) -> Graph:
+    """Check the text, then add each set bit straight to both neighbour sets,
+    skipping the groups with no bit set in one regular-expression scan."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise ParseError("empty graph6 input")
-    if any(ch.isspace() for ch in s):
-        raise ParseError("graph6 input must be a single token")
-    data = [ord(ch) - 63 for ch in s]
-    if any(not 0 <= d <= 63 for d in data):
+    # whitespace is never a graph6 character, so both checks run only on a miss
+    if _G6_INVALID.search(s) is not None:
+        if any(ch.isspace() for ch in s):
+            raise ParseError("graph6 input must be a single token")
         raise ParseError("invalid graph6 character")
-    if data[0] < 63:
-        n, idx = data[0], 1
-    elif len(data) >= 4 and data[1] < 63:
-        n, idx = (data[1] << 12) | (data[2] << 6) | data[3], 4
-    elif len(data) >= 8:
+    size = len(s)
+    if s[0] != "~":
+        n, idx = ord(s[0]) - 63, 1
+    elif size >= 4 and s[1] != "~":
+        n, idx = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63), 4
+    elif size >= 8:
         n = 0
-        for d in data[2:8]:
-            n = (n << 6) | d
+        for ch in s[2:8]:
+            n = (n << 6) | (ord(ch) - 63)
         idx = 8
     else:
         raise ParseError("truncated graph6 vertex count")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - idx != need:
-        raise ParseError(f"graph6 body has {len(data) - idx} groups, expected {need}")
+    if size - idx != need:
+        raise ParseError(f"graph6 body has {size - idx} groups, expected {need}")
     pad = need * 6 - nbits
-    if pad and data[-1] & ((1 << pad) - 1):
+    if pad and (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits in graph6 input")
-    # bit k of the body is entry (i, j) of the upper triangle, column by column
-    edges = []
-    i, j = 0, 1
-    for d in data[idx:]:
-        if not d:
-            i += 6
-            while i >= j:
-                i, j = i - j, j + 1
-            continue
-        for shift in range(5, -1, -1):
-            if (d >> shift) & 1:
-                edges.append((i, j))
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, edges)
+    ids = list(range(n))  # one int object per vertex, shared by every set holding it
+    adj = [set() for _ in ids]
+    # bit k of the body is entry (i, j) of the upper triangle, column by column;
+    # (i, j) is the first bit of the group at `at`
+    i, j, at = 0, 1, idx
+    for group in _G6_NONZERO.finditer(s, idx):
+        k = group.start()
+        i += 6 * (k - at)
+        at = k
+        while i >= j:
+            i -= j
+            j += 1
+        for b in _G6_BITS[ord(s[k]) - 63]:
+            u, v = i + b, j
+            while u >= v:
+                u -= v
+                v += 1
+            u, v = ids[u], ids[v]
+            adj[u].add(v)
+            adj[v].add(u)
+    return Graph._from_sets(adj)
 
 
 def to_graph6(graph: Graph) -> str:

@@ -6,11 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import hung_c5
+from conftest import graphs, hung_c5
 
 from lrw1 import cli, dh, oracle
 from lrw1.errors import ParseError
@@ -74,7 +77,7 @@ def test_json_round_trip(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         cert = cli.certificate_from_json(g, payload)
         assert verify_certificate(g, cert)
-        assert cli.certificate_to_json(g, cert) == payload
+        assert cli.certificate_to_json(cert) == payload
 
 
 @pytest.mark.parametrize("payload, named", [
@@ -270,6 +273,58 @@ def test_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, caps
         assert (fresh.returncode, fresh.stdout) == (code, out), argv
         if code == 2:
             assert fresh.stderr == err
+
+
+# bytes a mutation may put in: digits and separators of edge lists, graph6
+# characters, including the "~" that starts a longer vertex count, and bytes
+# that are not ASCII or are control characters
+_FUZZ_BYTES = list(b"0123456789 \n\r\t#-?@A_`{~\x00\x0c\x7f\xc3\xff")
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 400), st.sampled_from(_FUZZ_BYTES)),
+    max_size=3,  # at most three more header digits: no input allocates much
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, at, byte in edits:
+        if op == "insert":
+            out.insert(at % (len(out) + 1), byte)
+        elif out and op == "delete":
+            del out[at % len(out)]
+        elif out:
+            out[at % len(out)] = byte
+    return bytes(out)
+
+
+def _recognize_json(path: str) -> tuple[int, str, str]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["recognize", "--json", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=8), st.sampled_from([net_graph(), house_graph(), cycle_graph(6), hung_c5(20, True)])),
+       st.sampled_from(["edge-list", "graph6"]), _EDITS)
+def test_recognize_holds_on_mutated_input(g, fmt, edits):
+    data = _mutated(serialize_graph(g, fmt).encode("ascii"), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, out, err = _recognize_json(path)
+        again = _recognize_json(path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (again[0], again[1]) == (code, out)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    text = data.decode("ascii")
+    graph = parse_graph(text, cli.detect_format(text))
+    certificate = cli.certificate_from_json(graph, json.loads(out))
+    assert isinstance(certificate, OrderingCertificate) == (code == 0)
+    assert verify_certificate(graph, certificate)
 
 
 RECOGNIZE_GOLDEN = Path(__file__).parent / "golden" / "recognize_fixtures.txt"

@@ -19,7 +19,7 @@ from lrw1.dh import (
     replay_pruning,
 )
 from lrw1.errors import AlreadyDH, Disconnected, InvalidSequence
-from lrw1.graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, two_core
+from lrw1.graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach, two_core
 from lrw1.named import (
     caterpillar_graph,
     complete_graph,
@@ -266,8 +266,15 @@ def test_disconnected_graphs_raise(g):
 
 
 def test_connectivity_is_checked_only_when_pruning_fails(monkeypatch):
+    # the check is one walk over the live vertices; record how many it reaches
     calls = []
-    monkeypatch.setattr(dh, "connected_components", lambda g: calls.append(g.n) or connected_components(g))
+
+    def walk(adj, start, blocked):
+        found = reach(adj, start, blocked)
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(dh, "reach", walk)
     assert pruning_sequence(oracle.random_dh_graph(50, 1)) is not None
     assert calls == []
     assert pruning_sequence(cycle_graph(7)) is None
@@ -434,7 +441,7 @@ def _record_dh_tests(monkeypatch):
     # G[C], whose residue is the C5 on 6..10, which is the answer likewise
     (True, [11]),
 ])
-def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
+def test_a_minimal_residue_of_a_connected_2_core_settles_after_one_test(monkeypatch, k4_ids_first, sizes):
     g = _c5_path_k4(k4_ids_first)
     tested = _record_dh_tests(monkeypatch)
     vs = non_dh_obstruction(g)
@@ -442,6 +449,20 @@ def test_stop_rule_fires_after_deletions(monkeypatch, k4_ids_first, sizes):
     monkeypatch.undo()
     assert vs == (tuple(range(6, 11)) if k4_ids_first else tuple(range(5)))
     _assert_obstruction_matches_reference(g)
+
+
+def test_stop_rule_ends_the_pass_at_a_minimal_residue_of_a_disconnected_2_core(monkeypatch):
+    # a C5 on 0, 5, 6, 7, 8 and a triangle on 1, 2, 3, with 4 isolated: the
+    # test of G[C] hands back the C5, which the settled rule leaves open, as
+    # G[C] is disconnected; the trial of 0 is the DH triangle, and deleting
+    # 1, 2 and 3 leaves the C5 alone, which the stop rule returns, where the
+    # pass would go on to test the empty trials of 5, 6, 7 and 8
+    g = Graph(9, [(0, 5), (5, 6), (6, 7), (7, 8), (8, 0), (1, 2), (2, 3), (1, 3)])
+    tested = _record_dh_tests(monkeypatch)
+    vs = non_dh_obstruction(g)
+    assert tested == [8, 3]
+    monkeypatch.undo()
+    assert vs == (0, 5, 6, 7, 8) == oracle.reference_non_dh_obstruction(g)
 
 
 @pytest.mark.parametrize("k4_ids_first, sizes", [(False, []), (True, [])])

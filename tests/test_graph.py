@@ -88,6 +88,48 @@ def test_parse_graph6_garbage():
         parse_graph("A`", "graph6")
 
 
+@pytest.mark.parametrize("text, fmt, reason, line", [
+    (b"3 2\n0 1\n\xff 2\n", "edge-list",
+     "input is not ASCII: 'ascii' codec can't decode byte 0xff in position 8: ordinal not in range(128)", None),
+    ("", "edge-list", "missing header line 'n m'", None),
+    ("# only a comment\n\n   \n", "edge-list", "missing header line 'n m'", None),
+    ("# header next\n\n3\n", "edge-list", "header must be 'n m'", 3),
+    ("3 2 1\n0 1\n1 2\n", "edge-list", "header must be 'n m'", 1),
+    ("x 2\n0 1\n1 2\n", "edge-list", "header must contain two integers", 1),
+    ("3 -1\n", "edge-list", "header counts must be non-negative", 1),
+    ("3 2\n0 1\n", "edge-list", "expected 2 edge lines, found 1", None),
+    # a wrong count is reported before the bad edge line that comes first
+    ("3 2\n0 x\n", "edge-list", "expected 2 edge lines, found 1", None),
+    ("3 1\n0 1\n1 2\n", "edge-list", "expected 1 edge lines, found 2", None),
+    ("3 2\n# c\n0 1\n\n1 2 3\n", "edge-list", "edge line must be 'u v'", 5),
+    ("3 2\n0 1\n1\n", "edge-list", "edge line must be 'u v'", 3),
+    ("3 2\n0 1\n1 two\n", "edge-list", "edge endpoints must be integers", 3),
+    ("3 2\n0 1\n1.0 2\n", "edge-list", "edge endpoints must be integers", 3),
+    ("3 2\n0 1\n1 3\n", "edge-list", "vertex out of range in edge (1,3)", 3),
+    ("3 2\n-1 1\n1 2\n", "edge-list", "vertex out of range in edge (-1,1)", 2),
+    ("3 2\n0 1\n2 2\n", "edge-list", "loop edge at vertex 2", 3),
+    ("3 2\r\n0 1\r\n1 0\r\n", "edge-list", "duplicate edge (1,0)", 3),
+    ("3 3\n0 1\n1 2\n\n2 1\n", "edge-list", "duplicate edge (2,1)", 5),
+    ("", "graph6", "empty graph6 input", None),
+    (">>graph6<<\n", "graph6", "empty graph6 input", None),
+    ("D~ {", "graph6", "graph6 input must be a single token", None),
+    ("D~\u2003{", "graph6", "graph6 input must be a single token", None),
+    ("\x07!", "graph6", "invalid graph6 character", None),
+    ("D~\x7f", "graph6", "invalid graph6 character", None),
+    # a str that is not ASCII: a decoder that encodes it raises UnicodeEncodeError
+    ("D~\xe9", "graph6", "invalid graph6 character", None),
+    ("~", "graph6", "truncated graph6 vertex count", None),
+    ("~~???", "graph6", "truncated graph6 vertex count", None),
+    ("D~", "graph6", "graph6 body has 1 groups, expected 2", None),
+    ("~?@???", "graph6", "graph6 body has 2 groups, expected 336", None),
+    ("A`", "graph6", "nonzero padding bits in graph6 input", None),
+])
+def test_every_parse_error_keeps_its_reason_and_line(text, fmt, reason, line):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, fmt)
+    assert (err.value.reason, err.value.line) == (reason, line)
+
+
 def test_graph6_round_trip_beyond_62_vertices():
     rng = random.Random(62)
     for n in (63, 64, 130):
