@@ -39,15 +39,6 @@ from .recognizer import (
     recognize,
     verify_certificate,
 )
-from .oracle import (
-    DecompositionBuilder,
-    contract_blocks,
-    decompositions_isomorphic,
-    is_split,
-    recompose,
-    refine,
-    validate_canonical,
-)
 from .splitdec import (
     Block,
     Decomposition,
@@ -63,7 +54,6 @@ __all__ = [
     "Block",
     "Certificate",
     "Decomposition",
-    "DecompositionBuilder",
     "Graph",
     "ObstructionCertificate",
     "OrderingCertificate",
@@ -74,17 +64,14 @@ __all__ = [
     "canonical_decomposition_dh",
     "canonical_form",
     "connected_components",
-    "contract_blocks",
     "cutrank_of_cut",
     "cutrank_of_ordering",
     "decomposition_to_dot",
-    "decompositions_isomorphic",
     "dh_obstruction_catalog",
     "extract_lrw1_obstruction",
     "induced_subgraph",
     "is_distance_hereditary",
     "is_isomorphic_small",
-    "is_split",
     "local_complement",
     "non_dh_obstruction",
     "ordering_from_path_tree",
@@ -93,14 +80,11 @@ __all__ = [
     "pruning_sequence",
     "rank_of_rows",
     "recognize",
-    "recompose",
-    "refine",
     "replay_pruning",
     "serialize_graph",
     "side_vertices",
     "split_tree",
     "split_tree_to_dot",
     "to_graph6",
-    "validate_canonical",
     "verify_certificate",
 ]

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import oracle
 from . import recognizer
 from .dh import pruning_sequence
 from .errors import LrwError, ParseError
@@ -196,6 +195,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_lrw_exact(args) -> int:
+    from . import oracle  # brute force, which recognition never loads
+
     graph = _load_graph(args)
     value, order = oracle.brute_lrw_ordering(graph)
     print(f"linear rank-width = {value}")
@@ -204,6 +205,8 @@ def _cmd_lrw_exact(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from . import oracle
+
     if args.max_n < 1:  # a sweep over no vertex count would pass having checked nothing
         print(f"--max-n must be at least 1; got {args.max_n}", file=sys.stderr)
         return EXIT_ERROR

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import AlreadyDH, Disconnected, InvalidSequence
 from .graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach, two_core
 from .named import domino_graph, gem_graph, house_graph
+from .record import Record
 
 
 class PruningStep(NamedTuple):
@@ -61,21 +61,21 @@ class PruningStep(NamedTuple):
     anchor: int  # pendant: its neighbour; twins: the surviving twin
 
 
-@dataclass(frozen=True)
-class PruningSequence:
+class PruningSequence(Record):
     """A pendant/twin elimination: `steps` in order, then the `last` vertex.
 
     `graph` is the graph object that `pruning_sequence` checked every step
-    against while building the sequence, and None for any sequence built by
-    hand, by `dataclasses.replace` or by the reference pruner.  Only
-    `pruning_sequence` sets it, after construction, so a sequence vouches
-    only for the very graph it was proved on.  It takes no part in equality,
-    hashing or repr.
+    against while building the sequence, and None for any sequence built
+    otherwise: by hand, from another sequence's fields or by the reference
+    pruner.  Only `pruning_sequence` sets it, after construction, so a
+    sequence vouches only for the very graph it was proved on.  It is not a
+    field, so it takes no part in equality, hashing or repr.
     """
 
+    _fields = ("steps", "last")
     steps: tuple[PruningStep, ...]
     last: int
-    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
+    graph: Graph | None = None
 
 
 # Seeds the per-vertex codes behind the neighbourhood keys; fixed so that a
@@ -387,7 +387,7 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
         else:
             heappop(m)
     seq = PruningSequence(tuple(steps), steps[-1].anchor if steps else 0)
-    object.__setattr__(seq, "graph", graph)  # frozen, and not an init argument
+    object.__setattr__(seq, "graph", graph)  # immutable, and not a field
     return seq
 
 
@@ -466,9 +466,10 @@ def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
 def _settle(graph: Graph, live: set[int], pruned: Graph) -> tuple[tuple[str, int | None] | None, bool]:
     """The family of G[live], the residue of a failed pruning of `pruned`,
     and whether that settles the search: G[live] is a minimal non-DH graph
-    and `pruned` is connected."""
+    and `pruned` is connected.  The DH test of `pruned` has already split it
+    into components, so this walks nothing."""
     kind = minimal_non_dh_family(induced_subgraph(graph, live))
-    return kind, kind is not None and len(reach(pruned.adj, 0, set())) == pruned.n
+    return kind, kind is not None and len(connected_components(pruned)) == 1
 
 
 def non_dh_obstruction(

@@ -26,7 +26,7 @@ class Graph:
     `_freeze`, the one step that freezes the sets.
     """
 
-    __slots__ = ("n", "adj", "_hash", "_masks")
+    __slots__ = ("n", "adj", "_hash", "_masks", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -65,6 +65,7 @@ class Graph:
         self.adj = tuple(adj)
         self._hash = None
         self._masks = None
+        self._components = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -165,9 +166,16 @@ def reach(adj, start: int, blocked: set[int]) -> list[int]:
 
 
 def connected_components(graph: Graph) -> list[tuple[int, ...]]:
-    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
-    seen: set[int] = set()
-    return [tuple(sorted(reach(graph.adj, s, seen))) for s in range(graph.n) if s not in seen]
+    """Maximal connected vertex sets, each sorted, ordered by smallest member.
+
+    They are found on the first call and kept on the graph, which does not
+    change, so a later call walks nothing.  Every call returns the same
+    list, which no caller may change.
+    """
+    if graph._components is None:
+        seen: set[int] = set()
+        graph._components = [tuple(sorted(reach(graph.adj, s, seen))) for s in range(graph.n) if s not in seen]
+    return graph._components
 
 
 def two_core(graph: Graph, vertices: Iterable[int] | None = None) -> list[int]:

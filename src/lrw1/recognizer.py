@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import oracle
 from .dh import minimal_non_dh_family, non_dh_obstruction, pruning_sequence
 from .errors import InternalInvariantViolation, NotApplicable, NotAPath, NotAPermutation
 from .gf2 import cutrank_of_ordering
@@ -26,13 +25,11 @@ from .splitdec import SplitTree, canonical_decomposition_dh, side_vertices, spli
 # -- certificates -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingCertificate:
+class OrderingCertificate(NamedTuple):
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     vertices: tuple[int, ...]
     family: str  # "house" | "gem" | "domino" | "hole" | "dh_star3"
     hole_length: int | None = None
@@ -42,8 +39,7 @@ class ObstructionCertificate:
 Certificate = OrderingCertificate | ObstructionCertificate
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -336,11 +332,13 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
         # 2, and the cycle order has no prefix cut of rank above 2.  Deleting
         # any vertex leaves a path, of linear rank-width 1.
         return _OK
-    if oracle.lrw_at_most(sub, 1):
+    from .oracle import lrw_at_most  # brute force, loaded by the first check that needs it
+
+    if lrw_at_most(sub, 1):
         return _fail("induced subgraph does not have linear rank-width 2")
     for v in range(sub.n):
-        if not oracle.lrw_at_most(sub, 1, without=v):
-            if not oracle.lrw_at_most(sub, 2):
+        if not lrw_at_most(sub, 1, without=v):
+            if not lrw_at_most(sub, 2):
                 return _fail("induced subgraph does not have linear rank-width 2")
             return _fail(f"deleting vertex {vs[v]} leaves width 2: not minimal")
     return _OK

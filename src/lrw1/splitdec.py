@@ -38,13 +38,14 @@ references, and live in `oracle`.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Collection, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 
 from .dh import PruningSequence, replay_pruning
 from .errors import MalformedDecomposition, NotATreeEdge, NotDH
 from .graph import Graph, reach
+from .record import Record
 
 
 # -- block kinds -------------------------------------------------------------
@@ -81,21 +82,38 @@ def canonical_violation(k1: str, c1: int | None, m1: int, k2: str, c2: int | Non
 # -- decomposition data ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One block: a small graph over original vertices and markers.
 
     `vertices` is sorted.  A prime block lists its solid edges in
     `listed_edges`; a clique or star leaves it None, as its edges follow
     from its kind, centre and vertices, and `edges` and `adj` derive them on
-    first use.  Equality and hashing are by the five fields.
+    first use.  Equality and hashing are by the five fields.  The markers,
+    being negative, come first in `vertices`, so one bisect at construction
+    splits them into `marker_ids` and `own_vertices`.
     """
 
+    _fields = ("id", "vertices", "listed_edges", "kind", "centre")
     id: int
     vertices: tuple[int, ...]
     listed_edges: tuple[tuple[int, int], ...] | None  # None: implied by kind and centre
     kind: str  # "clique" | "star" | "prime"
     centre: int | None  # star centre vertex (marker if negative)
+    marker_ids: tuple[int, ...]
+    own_vertices: tuple[int, ...]
+
+    def __init__(
+        self,
+        id: int,
+        vertices: tuple[int, ...],
+        listed_edges: tuple[tuple[int, int], ...] | None,
+        kind: str,
+        centre: int | None,
+    ):
+        cut = bisect_left(vertices, 0)
+        # written straight into the instance dict, as assignment is refused
+        self.__dict__.update(id=id, vertices=vertices, listed_edges=listed_edges, kind=kind, centre=centre,
+                             marker_ids=vertices[:cut], own_vertices=vertices[cut:])
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -116,20 +134,12 @@ class Block:
             nbs[v].add(u)
         return {v: frozenset(s) for v, s in nbs.items()}
 
-    @property
-    def own_vertices(self) -> tuple[int, ...]:
-        return tuple([v for v in self.vertices if v >= 0])
 
-    @property
-    def marker_ids(self) -> tuple[int, ...]:
-        return tuple([v for v in self.vertices if v < 0])
-
-
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The blocks, each marked edge once as a (lower id, higher id) pair,
     and the graph they decompose."""
 
+    _fields = ("blocks", "marker_pairs", "origin")
     blocks: tuple[Block, ...]
     marker_pairs: tuple[tuple[int, int], ...]
     origin: Graph
@@ -194,17 +204,23 @@ def _decomposition(blocks: list[Block], pairs: list[tuple[int, int]], origin: Gr
 # -- canonical decomposition of distance-hereditary graphs --------------------
 
 
-@dataclass(slots=True)
-class _Cell:
+class _Cell(Record):
     """A block of the DH build: its id, kind, centre and members, plus the
     edges of a prime seed.  Every member's home is the cell itself, so a
-    merge that gives the block a fresh id updates no member."""
+    merge that gives the block a fresh id updates no member.  Unlike other
+    records, a cell changes as the build goes on, so it has no hash."""
 
-    id: int
-    kind: str
-    centre: int | None
-    members: set[int]
-    edges: tuple[tuple[int, int], ...] | None = None
+    __slots__ = _fields = ("id", "kind", "centre", "members", "edges")
+    __setattr__ = object.__setattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, id: int, kind: str, centre: int | None, members: set[int],
+                 edges: tuple[tuple[int, int], ...] | None = None):
+        self.id = id
+        self.kind = kind
+        self.centre = centre
+        self.members = members
+        self.edges = edges
 
 
 def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Decomposition:
@@ -287,12 +303,12 @@ def canonical_decomposition_dh(graph: Graph, seq: PruningSequence | None) -> Dec
 # -- split tree ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitTree:
+class SplitTree(Record):
     """The block system with each block contracted to one node.  The tree
     keeps its decomposition: `nodes` is its `blocks` tuple, and a node's id
     is its block's."""
 
+    _fields = ("decomposition", "edges")
     decomposition: Decomposition
     edges: tuple[tuple[int, int], ...]
 

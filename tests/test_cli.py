@@ -275,6 +275,58 @@ def test_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, caps
             assert fresh.stderr == err
 
 
+# Run in a fresh interpreter: recognition first, then the commands that need
+# the brute-force oracle.  It prints, as one JSON line, what each call gave
+# and which of the modules recognition must not load were loaded by then.
+_IMPORT_SET_CHILD = """
+import contextlib, io, json, sys
+import lrw1
+from lrw1 import cli
+
+HEAVY = ("lrw1.oracle", "dataclasses", "inspect")
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return [code, out.getvalue()]
+
+cat, net, c5, house, p4 = sys.argv[1:]
+report = {"recognized": [run("recognize", "--json", path)[0] for path in (cat, net, c5)]}
+report["loaded"] = [name for name in HEAVY if name in sys.modules]
+report["verified"] = [run("recognize", "--json", "--verify", path) for path in (net, house)]
+report["lrw_exact"] = run("lrw-exact", p4)[0]
+report["crosscheck"] = run("crosscheck", "--max-n", "4")[0]
+report["unresolved"] = [name for name in lrw1.__all__ if not hasattr(lrw1, name)]
+print(json.dumps(report))
+"""
+
+
+def test_recognition_loads_no_oracle_and_no_dataclasses_in_a_fresh_process(tmp_path):
+    graphs = {
+        "cat": caterpillar_graph(4, [2, 0, 1, 3]),
+        "net": net_graph(),
+        "c5": cycle_graph(5),
+        "house": house_graph(),
+        "p4": path_graph(4),
+    }
+    paths = {name: _write(tmp_path, f"{name}.edges", serialize_graph(g)) for name, g in graphs.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _IMPORT_SET_CHILD, *paths.values()], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["recognized"] == [0, 1, 1]
+    assert report["loaded"] == []
+    for name, (code, out) in zip(["net", "house"], report["verified"]):
+        assert code == 1, name
+        certificate = cli.certificate_from_json(graphs[name], json.loads(out))
+        assert verify_certificate(graphs[name], certificate), name
+    assert report["lrw_exact"] == 0
+    assert report["crosscheck"] == 0
+    assert report["unresolved"] == []
+
+
 # bytes a mutation may put in: digits and separators of edge lists, graph6
 # characters, including the "~" that starts a longer vertex count, and bytes
 # that are not ASCII or are control characters

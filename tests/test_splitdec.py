@@ -1,6 +1,5 @@
 """Splits, refinement, recomposition, canonical decomposition, split trees."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -604,7 +603,9 @@ def test_a_tampered_sequence_is_rejected_by_the_build():
     last = seq.steps[-1]
     # the two survivors of the last step are adjacent, so they are no false twins
     bad = seq.steps[:-1] + (PruningStep(last.removed, "false_twin", last.anchor),)
-    for tampered in [PruningSequence(bad, seq.last), dataclasses.replace(seq, steps=bad)]:
+    # a copy of the proved sequence built from its fields, with the steps changed
+    copied = PruningSequence(*[bad if name == "steps" else getattr(seq, name) for name in seq._fields])
+    for tampered in [PruningSequence(bad, seq.last), copied]:
         assert tampered.graph is None
         with pytest.raises(InvalidSequence):
             canonical_decomposition_dh(g, tampered)
