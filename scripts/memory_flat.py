@@ -8,7 +8,7 @@ and non-DH rejections from `conftest.hung_c5`.  Runs `recognize --json` and
 `recognize --json --verify` on each of them for one warm-up round and then
 for 8 more rounds, and exits 1 when `sys.getallocatedblocks()` grew by more
 than BUDGET blocks over those 8 rounds.  The second call runs the verifier,
-with its width searches on each obstruction, as a benchmark worker does on
+with its shape check on each obstruction, as a benchmark worker does on
 every graph.  A caller that reuses the process, such as that worker, would
 otherwise see its memory creep: CPython's tuple free lists keep a block for
 each tuple built from an iterator of unknown length until a full garbage

@@ -1,8 +1,10 @@
-"""Command line surface: recognise, decompose, exact width, fixture sweeps.
+"""Command line surface: recognise, check a certificate, decompose, exact
+width, fixture sweeps.
 
 Exit codes are stable across flags: 0 means linear rank-width <= 1 (or plain
 success), 1 means an obstruction was found (or the input was not distance
-hereditary where that was required), 2 means a usage or input error.
+hereditary where that was required), 2 means a usage or input error, or a
+certificate that fails verification.
 """
 
 from __future__ import annotations
@@ -157,6 +159,23 @@ def _cmd_recognize(args) -> int:
     return EXIT_OK if isinstance(certificate, OrderingCertificate) else EXIT_OBSTRUCTION
 
 
+def _cmd_check(args) -> int:
+    graph = _load_graph(args)
+    text = _read_text(args.certificate)
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ParseError(f"certificate is not JSON: {exc}") from None
+    certificate = certificate_from_json(graph, payload)
+    outcome = verify_certificate(graph, certificate)
+    if not outcome:
+        print(f"certificate failed verification: {outcome.reason}", file=sys.stderr)
+        return EXIT_ERROR
+    accepted = isinstance(certificate, OrderingCertificate)
+    print(f"certificate verified: linear rank-width {'<= 1' if accepted else '>= 2'}")
+    return EXIT_OK if accepted else EXIT_OBSTRUCTION
+
+
 def _write_maybe(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -253,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="independently verify the certificate before printing")
     p.set_defaults(func=_cmd_recognize)
+
+    p = sub.add_parser("check", help="verify a certificate that recognize --json printed")
+    p.add_argument("input", metavar="GRAPH",
+                   help="graph file or - for stdin, as an edge list or graph6 (detected)")
+    p.add_argument("certificate", metavar="CERT",
+                   help="certificate file or - for stdin, as recognize --json prints it")
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="canonical split decomposition of a connected DH graph")
     add_input(p)

@@ -124,9 +124,8 @@ def _lrw_table(graph: Graph) -> tuple[int, dict[int, int]]:
     return best[full], best
 
 
-def lrw_at_most(graph: Graph, k: int, without: int | None = None) -> bool:
-    """Whether the linear rank-width is at most k, leaving out the vertex
-    `without` when one is given.
+def lrw_at_most(graph: Graph, k: int) -> bool:
+    """Whether the linear rank-width is at most k.
 
     A depth-first search over ordering prefixes, taken as vertex sets: a
     prefix is extended only while its cut rank is at most k, and the search
@@ -135,19 +134,11 @@ def lrw_at_most(graph: Graph, k: int, without: int | None = None) -> bool:
     `brute_lrw` ranks every set.  A set's vertices are read from the table
     `_MEMBERS`; `brute_lrw`, the reference the search is tested against,
     lists them with `_bits` instead.
-
-    Leaving out v lowers the width by at most 1: an ordering of G - v
-    followed by v adds one column to each prefix cut, so
-    lrw(G) <= lrw(G - v) + 1.
     """
     if graph.n > _LRW_GUARD:
         raise TooLarge(f"exact linear rank-width guard is {_LRW_GUARD} vertices")
     full = (1 << graph.n) - 1
-    if without is not None:
-        if not 0 <= without < graph.n:
-            raise ValueError(f"vertex {without} out of range")
-        full ^= 1 << without
-    masks = [m & full for m in graph.adjacency_masks()]
+    masks = graph.adjacency_masks()
     seen = {0}
     stack = [0]
     while stack:

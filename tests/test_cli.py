@@ -133,6 +133,57 @@ def test_json_schema_fields(tmp_path, capsys):
     assert payload == {"status": "lrw_le_1", "ordering": [0, 1, 2, 3]}
 
 
+def test_check_gives_the_exit_code_of_recognize_on_every_golden_certificate(tmp_path):
+    graph_path, cert_path = tmp_path / "g.g6", tmp_path / "c.json"
+    for line in RECOGNIZE_GOLDEN.read_text().splitlines():
+        g6, code, payload = line.split(" ", 2)
+        graph_path.write_text(g6 + "\n")
+        cert_path.write_text(payload + "\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", str(graph_path), str(cert_path)]) == int(code), line
+
+
+def _check(tmp_path, capsys, graph, certificate: str):
+    graph_path = _write(tmp_path, "g.edges", serialize_graph(graph))
+    cert_path = _write(tmp_path, "c.json", certificate)
+    code = cli.main(["check", graph_path, cert_path])
+    return code, capsys.readouterr()
+
+
+def test_check_refuses_a_tampered_certificate(tmp_path, capsys):
+    tampered = [
+        (cycle_graph(5), {"status": "lrw_ge_2", "obstruction": {"vertices": [0, 1, 2, 3, 4], "family": "house"}},
+         "house certificate does not induce a house"),
+        (net_graph(), {"status": "lrw_ge_2", "obstruction": {"vertices": list(range(6)), "family": "dh_star3",
+                                                              "catalog_index": 1}},
+         "obstruction does not match its catalog entry"),
+        (cycle_graph(5), {"status": "lrw_le_1", "ordering": [0, 1, 2, 3, 4]}, "ordering has cut rank 2"),
+        (path_graph(4), {"status": "lrw_le_1", "ordering": [0, 1, 1, 3]},
+         "ordering is not a permutation of the vertex set"),
+    ]
+    for graph, payload, reason in tampered:
+        code, captured = _check(tmp_path, capsys, graph, json.dumps(payload))
+        assert (code, captured.out) == (2, ""), payload
+        assert captured.err == f"certificate failed verification: {reason}\n"
+
+
+@pytest.mark.parametrize("text", ["", "{", "{\"status\": \"lrw_le_1\"", "[" * 100000, "null",
+                                  "{\"status\": \"lrw_le_1\"}", "\u00e9"])
+def test_check_refuses_malformed_json(tmp_path, capsys, text):
+    code, captured = _check(tmp_path, capsys, path_graph(3), text)
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_check_refuses_a_missing_file(tmp_path, capsys):
+    present = _write(tmp_path, "g.edges", serialize_graph(path_graph(3)))
+    missing = str(tmp_path / "missing")
+    for argv in [[present, missing], [missing, present]]:
+        assert cli.main(["check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "missing" in captured.err
+
+
 def test_decompose_p4(tmp_path, capsys):
     path = _write(tmp_path, "p4.edges", serialize_graph(path_graph(4)))
     assert cli.main(["decompose", path]) == 0
@@ -275,9 +326,10 @@ def test_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, caps
             assert fresh.stderr == err
 
 
-# Run in a fresh interpreter: recognition first, then the commands that need
-# the brute-force oracle.  It prints, as one JSON line, what each call gave
-# and which of the modules recognition must not load were loaded by then.
+# Run in a fresh interpreter: recognition, verification and a certificate
+# check first, then the commands that need the brute-force oracle.  It prints,
+# as one JSON line, what each call gave and which of the modules recognition
+# must not load were loaded after each stage.
 _IMPORT_SET_CHILD = """
 import contextlib, io, json, sys
 import lrw1
@@ -295,6 +347,11 @@ cat, net, c5, house, p4 = sys.argv[1:]
 report = {"recognized": [run("recognize", "--json", path)[0] for path in (cat, net, c5)]}
 report["loaded"] = [name for name in HEAVY if name in sys.modules]
 report["verified"] = [run("recognize", "--json", "--verify", path) for path in (net, house)]
+report["loaded_by_verify"] = [name for name in HEAVY if name in sys.modules]
+with open(net + ".json", "w") as fh:
+    fh.write(report["verified"][0][1])
+report["checked"] = run("check", net, net + ".json")[0]
+report["loaded_by_check"] = [name for name in HEAVY if name in sys.modules]
 report["lrw_exact"] = run("lrw-exact", p4)[0]
 report["crosscheck"] = run("crosscheck", "--max-n", "4")[0]
 report["unresolved"] = [name for name in lrw1.__all__ if not hasattr(lrw1, name)]
@@ -322,6 +379,9 @@ def test_recognition_loads_no_oracle_and_no_dataclasses_in_a_fresh_process(tmp_p
         assert code == 1, name
         certificate = cli.certificate_from_json(graphs[name], json.loads(out))
         assert verify_certificate(graphs[name], certificate), name
+    assert report["loaded_by_verify"] == []
+    assert report["checked"] == 1
+    assert report["loaded_by_check"] == []
     assert report["lrw_exact"] == 0
     assert report["crosscheck"] == 0
     assert report["unresolved"] == []

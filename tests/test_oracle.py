@@ -116,21 +116,10 @@ def test_lrw_at_most_equals_the_exact_width_up_to_7():
                 assert oracle.lrw_at_most(g, k) == (width <= k), (g, k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(min_n=1, max_n=9), st.data())
-def test_lrw_at_most_without_a_vertex_equals_the_test_on_the_rest(g, data):
-    v = data.draw(st.integers(0, g.n - 1))
-    k = data.draw(st.integers(0, 3))
-    rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
-    assert oracle.lrw_at_most(g, k, without=v) == (oracle.brute_lrw(rest) <= k)
-
-
 def test_lrw_at_most_guard():
     oracle.lrw_at_most(path_graph(10), 1)
     with pytest.raises(TooLarge):
         oracle.lrw_at_most(path_graph(11), 1)
-    with pytest.raises(ValueError):
-        oracle.lrw_at_most(path_graph(3), 1, without=3)
 
 
 # -- splits --------------------------------------------------------------------------
