@@ -53,9 +53,15 @@ def detect_format(text: str) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, decoded as ASCII, or of stdin, which arrives
+    decoded by the locale and is checked to be ASCII as well: `int` and
+    `str.isdigit` accept any Unicode digit."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            if not text.isascii():
+                raise ParseError("input is not ASCII")
+            return text
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -116,13 +122,7 @@ def certificate_from_json(graph: Graph, payload: dict) -> Certificate:
             raise ParseError(f"certificate names {v!r}, which is not a vertex label")
     if ordered:
         return OrderingCertificate(tuple(vs))
-    vertices = tuple(sorted(vs))
-    return ObstructionCertificate(
-        vertices,
-        family,
-        hole_length=len(vertices) if family == "hole" else None,
-        catalog_index=catalog_index,
-    )
+    return ObstructionCertificate(tuple(sorted(vs)), family, catalog_index)
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
@@ -154,7 +154,7 @@ def _cmd_recognize(args) -> int:
         vs = " ".join(str(v) for v in certificate.vertices)
         family = certificate.family
         if family == "hole":
-            family = f"hole({certificate.hole_length})"
+            family = f"hole({len(certificate.vertices)})"
         print(f"linear rank-width >= 2; obstruction [{family}]: {vs}")
     return EXIT_OK if isinstance(certificate, OrderingCertificate) else EXIT_OBSTRUCTION
 

@@ -25,8 +25,8 @@ DH (Bandelt & Mulder, JCTB 41, 1986), of minimum degree 2, so R lies in the
 each vertex whose removal leaves the rest non-DH.  The residue steers it: a
 vertex outside R is deleted with no test, a vertex of R gets one trial,
 peeled back to its 2-core, whose own residue replaces R when it is non-DH,
-and the pass ends at the first vertex above max(R), or as soon as the kept
-set is R and is a hole, house, gem or domino (`minimal_non_dh_family`).
+and the pass ends as soon as the kept set is R and is a hole, house, gem
+or domino (`minimal_non_dh_family`).
 The failed pruning also settles the search: when G[R] is one of the four
 and the pruned graph is connected, R is the answer, as the proof in
 `non_dh_obstruction` shows.  So only an R that is not one of the four, or
@@ -445,25 +445,26 @@ def is_distance_hereditary(graph: Graph, residue: list[int] | None = None) -> bo
 _SMALL_NON_DH = {"house": house_graph(), "gem": gem_graph(), "domino": domino_graph()}
 
 
-def minimal_non_dh_family(graph: Graph) -> tuple[str, int | None] | None:
-    """("hole", k) when the graph is a chordless cycle of length k >= 5,
-    (family, None) when it is a house, gem or domino, else None.
+def minimal_non_dh_family(graph: Graph) -> str | None:
+    """"hole" when the graph is a chordless cycle of length at least 5, its
+    family when it is a house, gem or domino, else None.
 
     These are exactly the minimal non-DH graphs (Bandelt & Mulder, JCTB 41,
-    1986).  A hole costs O(n); any other graph is refused after its first
-    vertex of degree other than 2 unless it has 5 or 6 vertices, the only
-    orders the isomorphism test is tried on.
+    1986).  A hole costs O(n), and no walk when the graph's components are
+    already known; any other graph is refused after its first vertex of
+    degree other than 2 unless it has 5 or 6 vertices, the only orders the
+    isomorphism test is tried on.
     """
     n = graph.n
-    if n >= 5 and all(len(nb) == 2 for nb in graph.adj) and len(reach(graph.adj, 0, set())) == n:
-        return "hole", n
+    if n >= 5 and all(len(nb) == 2 for nb in graph.adj) and len(connected_components(graph)) == 1:
+        return "hole"
     for family, member in _SMALL_NON_DH.items():
         if n == member.n and is_isomorphic_small(graph, member):
-            return family, None
+            return family
     return None
 
 
-def _settle(graph: Graph, live: set[int], pruned: Graph) -> tuple[tuple[str, int | None] | None, bool]:
+def _settle(graph: Graph, live: set[int], pruned: Graph) -> tuple[str | None, bool]:
     """The family of G[live], the residue of a failed pruning of `pruned`,
     and whether that settles the search: G[live] is a minimal non-DH graph
     and `pruned` is connected.  The DH test of `pruned` has already split it
@@ -476,7 +477,7 @@ def non_dh_obstruction(
     graph: Graph,
     *,
     pruning_residue: Collection[int] | None = None,
-    family: list[tuple[str, int | None] | None] | None = None,
+    family: list[str | None] | None = None,
 ) -> tuple[int, ...]:
     """Minimal induced subgraph witnessing non-distance-hereditariness.
 
@@ -503,7 +504,12 @@ def non_dh_obstruction(
     G[C], which raises `AlreadyDH` when G[C] is DH.  C is classified before
     that test, so a hole, or a C that is already a house, gem or domino, is
     returned with no DH test.  The pass keeps R inside K and does the plain
-    pass's work with five shortcuts, none of which changes the tuple:
+    pass's work with four shortcuts, none of which changes the tuple.  They
+    rest on one fact, here called Break: a vertex kept so far was kept
+    because K minus it was DH, so it lies in every non-DH set inside K, and
+    so in R.  So once the pass is above max(R) the answer is R: every later
+    vertex lies outside R and Skip deletes it, as the rest still contains R,
+    and the Stop rule ends the pass once K = R.
 
     - **Skip.**  A vertex outside R is deleted with no test, since the rest
       of K still contains R and so is non-DH.
@@ -529,10 +535,6 @@ def non_dh_obstruction(
       before C is computed, and G[C] or the trial for an R found here, when
       that is connected: `is_distance_hereditary` prunes only its first
       non-DH component.
-    - **Break.**  At the first vertex above max(R) the answer is R.  A
-      vertex kept so far was kept because K minus it was DH, so it lies in
-      every non-DH set inside K, and so in R; every later vertex lies
-      outside R and is deleted, as the rest still contains R.
     - **Stop rule.**  Each R is classified once; whenever K = R and G[R] is
       a minimal non-DH graph M, the plain pass would end with exactly M, so
       the pass returns it.  A later j in M is kept, as the 2-core of
@@ -565,10 +567,7 @@ def non_dh_obstruction(
         kind, settled = _settle(graph, live, sub)
         if settled:
             return _answer(live, kind, family)
-    top = max(live)
     for v in keep:
-        if v > top:
-            break
         if v not in kept:
             continue
         if v in live:
@@ -579,7 +578,6 @@ def non_dh_obstruction(
                 continue
             kept = set(trial)
             live = {trial[i] for i in found}
-            top = max(live)
             kind, settled = _settle(graph, live, sub)
             if settled:
                 break
@@ -590,7 +588,7 @@ def non_dh_obstruction(
     return _answer(live, kind, family)
 
 
-def _answer(live: set[int], kind: tuple[str, int | None] | None, family: list | None) -> tuple[int, ...]:
+def _answer(live: set[int], kind: str | None, family: list | None) -> tuple[int, ...]:
     if family is not None:
         family.append(kind)
     return tuple(sorted(live))

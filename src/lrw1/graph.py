@@ -216,31 +216,34 @@ def is_isomorphic_small(a: Graph, b: Graph) -> bool:
     if sorted(map(len, a.adj)) != sorted(map(len, b.adj)):
         return False
     order = sorted(range(a.n), key=lambda v: -a.degree(v))
-    used = [False] * b.n
-    image = [-1] * a.n
+    return _place(a, b, order, 0, [False] * b.n, [-1] * a.n)
 
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(b.n):
-            if used[w] or b.degree(w) != a.degree(v):
-                continue
-            ok = True
-            for u in order[:i]:
-                if (u in a.adj[v]) != (image[u] in b.adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
 
-    return place(0)
+def _place(a: Graph, b: Graph, order: list[int], i: int, used: list[bool], image: list[int]) -> bool:
+    """Whether the partial map `image` of order[:i] extends to an isomorphism.
+
+    A module-level function rather than a closure: a closure that calls
+    itself refers to itself through its own cell, so every search would
+    leave its graphs and lists behind as cyclic garbage."""
+    if i == len(order):
+        return True
+    v = order[i]
+    for w in range(b.n):
+        if used[w] or b.degree(w) != a.degree(v):
+            continue
+        ok = True
+        for u in order[:i]:
+            if (u in a.adj[v]) != (image[u] in b.adj[w]):
+                ok = False
+                break
+        if ok:
+            image[v] = w
+            used[w] = True
+            if _place(a, b, order, i + 1, used, image):
+                return True
+            used[w] = False
+            image[v] = -1
+    return False
 
 
 def _wl_colors(graph: Graph) -> list[int]:

@@ -32,7 +32,6 @@ class OrderingCertificate(NamedTuple):
 class ObstructionCertificate(NamedTuple):
     vertices: tuple[int, ...]
     family: str  # "house" | "gem" | "domino" | "hole" | "dh_star3"
-    hole_length: int | None = None
     catalog_index: int | None = None
 
 
@@ -93,9 +92,6 @@ _HUB_LEGS = {
     "vertex star": (("K3", "Sr"),) * 3,
 }
 
-_CATALOG: list[Graph] | None = None
-
-
 def _star3_graph(hub: str, legs: tuple[str, ...]) -> Graph:
     """The obstruction with this hub kind and these leg shapes.
 
@@ -115,7 +111,28 @@ def _star3_graph(hub: str, legs: tuple[str, ...]) -> Graph:
     return Graph(6, edges + [(x, y) for i, j in joined for x in frontiers[i] for y in frontiers[j]])
 
 
-def dh_obstruction_catalog() -> list[Graph]:
+def _build_catalog() -> tuple[tuple[Graph, ...], dict[tuple, int]]:
+    """The catalog members, and each member's index keyed by its hub kind and
+    the sorted `_LEG_SHAPES` values of its legs.  Under one hub kind the leg
+    shapes, in any order, name one member: legs that admit the same shapes
+    are swapped freely, and a marker star's leg 0, the one leg whose shapes
+    differ, is the only one of its legs that admits Sm."""
+    members: list[Graph] = []
+    index: dict[tuple, int] = {}
+    for hub, admitted in _HUB_LEGS.items():
+        runs = [(shapes, len(list(group))) for shapes, group in itertools.groupby(admitted)]
+        choices = (itertools.combinations_with_replacement(shapes, k) for shapes, k in runs)
+        for parts in itertools.product(*choices):
+            legs = sum(parts, ())
+            index[hub, tuple(sorted([_LEG_SHAPES[shape] for shape in legs]))] = len(members)
+            members.append(_star3_graph(hub, legs))
+    return tuple(members), index
+
+
+_CATALOG, _CATALOG_INDEX = _build_catalog()
+
+
+def dh_obstruction_catalog() -> tuple[Graph, ...]:
     """Distance-hereditary induced obstructions for linear rank-width 1.
 
     Every member has a star-with-three-leaves split tree, and the members are
@@ -123,24 +140,10 @@ def dh_obstruction_catalog() -> list[Graph]:
     star centred at a marker, or a 4-vertex star centred at an original
     vertex) every choice of admitted leg shapes, up to swapping legs that
     admit the same shapes.  No two members are isomorphic, and the order is
-    stable: an obstruction certificate names its member by index.
+    stable: an obstruction certificate names its member by index.  The
+    tuple is built once, at import, and every call returns it.
     """
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = []
-        for hub, admitted in _HUB_LEGS.items():
-            runs = [(shapes, len(list(group))) for shapes, group in itertools.groupby(admitted)]
-            choices = (itertools.combinations_with_replacement(shapes, k) for shapes, k in runs)
-            for parts in itertools.product(*choices):
-                _CATALOG.append(_star3_graph(hub, sum(parts, ())))
-    return list(_CATALOG)
-
-
-def _match_catalog(graph: Graph) -> int:
-    for idx, member in enumerate(dh_obstruction_catalog()):
-        if is_isomorphic_small(graph, member):
-            return idx
-    raise InternalInvariantViolation("extracted obstruction matches no catalog member")
+    return _CATALOG
 
 
 def _first_pair(
@@ -174,18 +177,20 @@ def _first_pair(
     return None
 
 
-def extract_lrw1_obstruction(tree: SplitTree, node: int) -> tuple[int, ...]:
-    """Minimal obstruction around a split-tree node of degree >= 3, in the
-    graph that the tree's decomposition decomposes.
+def extract_lrw1_obstruction(tree: SplitTree, node: int) -> ObstructionCertificate:
+    """The `dh_star3` certificate of the minimal obstruction around a
+    split-tree node of degree >= 3, in the graph that the tree's
+    decomposition decomposes.
 
     The node is the hub.  Two vertices are chosen on each of three sides of
     it (plus the hub centre when it is an original vertex), so the induced
     subgraph has a star-with-three-leaves split tree.  Each side's pair is
     the lexicographically first one whose leg shape the hub admits, as
     `_HUB_LEGS` says, the same table the catalog is built from; finding it
-    costs time linear in the side and its edges.  No brute-force check is
-    made: the caller matches the result against the obstruction catalog,
-    whose members are proven minimal obstructions.
+    costs time linear in the side and its edges.  The hub kind and the leg
+    shapes chosen name the catalog member, whose index the certificate
+    carries, so no isomorphism test is made: the catalog's members are
+    proven minimal obstructions, and `verify_certificate` checks the match.
     """
     try:
         degree = tree.degree(node)
@@ -198,6 +203,7 @@ def extract_lrw1_obstruction(tree: SplitTree, node: int) -> tuple[int, ...]:
     hub = tree.node(node)
     nbs = tree.neighbours(node)  # sorted
     chosen: list[int] = []
+    shapes: list[tuple[int, bool]] = []
     if hub.kind == "clique":
         kind, legs = "clique", nbs[:3]
     elif hub.kind == "star" and hub.centre is not None and hub.centre < 0:
@@ -214,11 +220,13 @@ def extract_lrw1_obstruction(tree: SplitTree, node: int) -> tuple[int, ...]:
         pair = _first_pair(graph, side, frontier, allowed)
         if pair is None:
             raise InternalInvariantViolation(f"no admissible pair on side of node {leg}")
+        a, b = pair
         chosen.extend(pair)
+        shapes.append(((a in frontier) + (b in frontier), b in graph.adj[a]))
     vs = tuple(sorted(chosen))
     if len(set(vs)) != len(vs):
         raise InternalInvariantViolation("sides of the hub node were not disjoint")
-    return vs
+    return ObstructionCertificate(vs, "dh_star3", _CATALOG_INDEX[kind, tuple(sorted(shapes))])
 
 
 # -- recognition ------------------------------------------------------------------------
@@ -238,12 +246,8 @@ def recognize(graph: Graph) -> Certificate:
             continue
         result = _recognize_connected(induced_subgraph(graph, comp))
         if isinstance(result, ObstructionCertificate):
-            return ObstructionCertificate(
-                tuple([comp[i] for i in result.vertices]),
-                result.family,
-                result.hole_length,
-                result.catalog_index,
-            )
+            vs = tuple([comp[i] for i in result.vertices])
+            return ObstructionCertificate(vs, result.family, result.catalog_index)
         parts.extend(comp[i] for i in result)
     return OrderingCertificate(tuple(parts))
 
@@ -257,10 +261,7 @@ def _recognize_connected(graph: Graph):
     if tree.is_path():
         return ordering_from_path_tree(tree)
     node = min(n.id for n in tree.nodes if tree.degree(n.id) >= 3)
-    vs = extract_lrw1_obstruction(tree, node)
-    return ObstructionCertificate(
-        vs, "dh_star3", catalog_index=_match_catalog(induced_subgraph(graph, vs))
-    )
+    return extract_lrw1_obstruction(tree, node)
 
 
 def non_dh_certificate(graph: Graph, *, pruning_residue: Collection[int] | None = None) -> ObstructionCertificate:
@@ -271,12 +272,11 @@ def non_dh_certificate(graph: Graph, *, pruning_residue: Collection[int] | None 
     search a second pruning of the graph's 2-core, and the search hands back
     the family it classified its answer as.
     """
-    found: list[tuple[str, int | None] | None] = []
+    found: list[str | None] = []
     vs = non_dh_obstruction(graph, pruning_residue=pruning_residue, family=found)
     if found[0] is None:
         raise InternalInvariantViolation("minimal non-DH subgraph is not house/gem/domino/hole")
-    family, k = found[0]
-    return ObstructionCertificate(vs, family, hole_length=k)
+    return ObstructionCertificate(vs, found[0])
 
 
 # -- certificate verification --------------------------------------------------------------
@@ -326,18 +326,14 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
     sub = induced_subgraph(graph, vs)
     fam = certificate.family
     if fam in ("hole", "house", "gem", "domino"):
-        found = minimal_non_dh_family(sub)
-        if found is None or found[0] != fam:
+        if minimal_non_dh_family(sub) != fam:
             shape = "chordless cycle" if fam == "hole" else fam
             return _fail(f"{fam} certificate does not induce a {shape}")
-        if fam == "hole" and certificate.hole_length != sub.n:
-            return _fail("hole length does not match the vertex set")
     elif fam == "dh_star3":
-        catalog = dh_obstruction_catalog()
         idx = certificate.catalog_index
-        if idx is None or not 0 <= idx < len(catalog):
+        if idx is None or not 0 <= idx < len(_CATALOG):
             return _fail("missing or invalid catalog index")
-        if sub.n != catalog[idx].n or not is_isomorphic_small(sub, catalog[idx]):
+        if sub.n != _CATALOG[idx].n or not is_isomorphic_small(sub, _CATALOG[idx]):
             return _fail("obstruction does not match its catalog entry")
     else:
         return _fail(f"unknown obstruction family {fam!r}")

@@ -133,7 +133,7 @@ def test_criterion_4_certificate_soundness_at_scale():
         d = canonical_decomposition_dh(g, pruning_sequence(g))
         t = split_tree(d)
         hub = min(node.id for node in t.nodes if t.degree(node.id) >= 3)
-        vs = extract_lrw1_obstruction(t, hub)
+        vs = extract_lrw1_obstruction(t, hub).vertices
         cert = recognize(g)
         if not isinstance(cert, ObstructionCertificate) or not verify_certificate(g, cert):
             bad_extractions += 1

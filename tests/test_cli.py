@@ -60,6 +60,25 @@ def test_recognize_non_ascii_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: input is not ASCII")
 
 
+@pytest.mark.parametrize("command", [["recognize", "-"], ["check", "-", "CERT"]])
+def test_non_ascii_stdin_exit_2(monkeypatch, tmp_path, capsys, command):
+    # full-width digits, which int() and str.isdigit() accept: unchecked,
+    # this text reads as a 3-vertex path
+    text = "\uff13 \uff12\n0 1\n1 2\n"
+    cert = _write(tmp_path, "c.json", json.dumps({"status": "lrw_le_1", "ordering": [0, 1, 2]}))
+    argv = [cert if arg == "CERT" else arg for arg in command]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: input is not ASCII")
+    # a pipe reaches the command decoded by the locale
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "lrw1.cli", *argv], input=text.encode("utf-8"), env=env,
+                           capture_output=True, timeout=60)
+    assert child.returncode == 2 and child.stdout == b""
+    assert child.stderr.startswith(b"error: input is not ASCII")
+
+
 def test_recognize_graph6_autodetect(tmp_path, capsys):
     path = _write(tmp_path, "g.g6", serialize_graph(cycle_graph(5), "graph6"))
     assert cli.main(["recognize", path]) == 1

@@ -586,9 +586,9 @@ def test_obstruction_requires_non_dh_with_a_2_core(g):
 
 def test_minimal_non_dh_family():
     for k in range(5, 9):
-        assert minimal_non_dh_family(cycle_graph(k)) == ("hole", k)
+        assert minimal_non_dh_family(cycle_graph(k)) == "hole"
     for family, g in [("house", house_graph()), ("gem", gem_graph()), ("domino", domino_graph())]:
-        assert minimal_non_dh_family(g) == (family, None)
+        assert minimal_non_dh_family(g) == family
     for g in [cycle_graph(4), complete_graph(5), path_graph(6), net_graph(),
               disjoint_union(cycle_graph(5), cycle_graph(5))]:
         assert minimal_non_dh_family(g) is None

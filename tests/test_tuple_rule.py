@@ -4,7 +4,9 @@ CPython builds `tuple(<generator>)`, or a tuple of any iterator of unknown
 length, at a guessed size and shrinks it.  A small tuple built so never comes
 from the free list of its final size, yet joins that list when it is freed,
 and only a full garbage collection empties the lists: a long-lived caller of
-`lrw1.cli.main` would keep one more block for each such tuple it built.
+`lrw1.cli.main` would keep one more block for each such tuple it built.  A
+named tuple's `_replace` builds its tuple from `map`, and `_make` from
+whatever iterable it is given, so neither is called either.
 """
 
 import ast
@@ -14,6 +16,7 @@ import lrw1
 
 MODULES = ("cli", "graph", "dh", "recognizer", "splitdec", "gf2", "oracle")
 LAZY_BUILTINS = {"map", "filter", "zip"}
+NAMED_TUPLE_BUILDERS = {"_replace", "_make"}
 
 
 def _is_lazy(node: ast.expr) -> bool:
@@ -36,6 +39,8 @@ def _lazy_tuple_lines(source: str) -> list[int]:
             continue
         if isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args:
             lazy = _is_lazy(node.args[0])
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in NAMED_TUPLE_BUILDERS:
+            lazy = True
         else:  # f(*<generator>) builds its argument tuple the same way
             lazy = any(isinstance(a, ast.Starred) and _is_lazy(a.value) for a in node.args)
         if lazy:
@@ -65,5 +70,7 @@ tuple([x for x in y])
 tuple(sorted(y))
 tuple(list(itertools.combinations(y, 2)))
 f(*[x for x in y])
+cert._replace(family="hole")
+Certificate._make([order])
 """
-    assert _lazy_tuple_lines(source) == [2, 3, 4, 5, 6, 7]
+    assert _lazy_tuple_lines(source) == [2, 3, 4, 5, 6, 7, 12, 13]
