@@ -185,8 +185,10 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     deletes its last vertex, so the live vertices induce as many components
     as the graph has.  A disconnected graph thus either comes to such a
     step or fails with a disconnected residue, and a failed pruning checks
-    the residue's connectivity, by one walk over the live vertices, before
-    it returns None.
+    the residue's connectivity before it returns None: the residue is
+    connected exactly when the graph is, so when `connected_components` has
+    already found the graph's components the check reads their number, and
+    otherwise it is one walk over the live vertices.
     """
     n = graph.n
     if n == 0:
@@ -344,8 +346,12 @@ def pruning_sequence(graph: Graph, residue: list[int] | None = None) -> PruningS
     while len(steps) < n - 1:
         if not queue:
             live = sorted(v for c in range(n) if nbr[c] is not None for v in members[c] or (c,))
-            dead = set(range(n)).difference(live)
-            if len(reach(adj, live[0], dead)) != len(live):
+            components = graph._components  # kept by connected_components, if it ran
+            if components is not None:
+                connected = len(components) == 1
+            else:
+                connected = len(reach(adj, live[0], set(range(n)).difference(live))) == len(live)
+            if not connected:
                 raise Disconnected("pruning sequences are defined for connected graphs")
             if residue is not None:
                 residue.extend(live)

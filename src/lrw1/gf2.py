@@ -2,8 +2,11 @@
 
 The cut rank of one cut is the rank of its bit rows (`cut_rows`).  The
 width of a vertex ordering is scored incrementally instead: one row basis
-over the suffix, held as vertex sets, follows the ordering, so an ordering
-of width at most 1 is checked in O(n + m).
+over the suffix, held as vertex sets, follows the ordering.  Each vertex's
+suffix row is its neighbour set less the prefix, one set difference that
+CPython runs in O(deg v) whichever operand is larger, and a row is copied
+only when it enters the basis, so an ordering of width at most 1 is
+checked in O(n + m) with the per-edge work inside set operations.
 """
 
 from __future__ import annotations
@@ -75,11 +78,20 @@ def cutrank_of_ordering(graph: Graph, order: Sequence[int]) -> int:
     hold p, so their pivots come after p and after every vertex of the new
     row: each pivot stays last in its row, and no row ever needs a new one.
 
-    On an ordering of width at most 1 the basis holds at most one row S.  A
-    passing step reduces v's row R = S \\ {v} in O(deg v), so the whole check
-    costs O(n + m).  A step at rank k costs O(k n) at most.
+    v's row is `graph.adj[v] - prefix`, a set difference that CPython runs
+    in O(deg v): it walks adj[v] and looks each member up in the prefix, or,
+    when adj[v] is more than 4 times larger than the prefix, copies adj[v]
+    and walks the prefix instead.  The difference is a frozenset, compared
+    and reduced as it is and copied into a mutable row only when it enters
+    the basis.  A reduction stops at a row equal to it, since their sum is
+    zero, so on an ordering of width at most 1, where the basis holds at
+    most one row S, a step that keeps the rank costs one comparison with S,
+    O(deg v), and the whole check costs O(n + m).  A step at rank k costs
+    O(k n) at most.
 
-    The full-set cut has no columns and contributes 0, so a single vertex has
+    An order holding a label that is not exactly an int, such as True or
+    1.0, raises NotAPermutation even where the label equals a vertex.  The
+    full-set cut has no columns and contributes 0, so a single vertex has
     cutrank 0 and any graph with an edge has cutrank at least 1.
     """
     n = graph.n
@@ -87,22 +99,34 @@ def cutrank_of_ordering(graph: Graph, order: Sequence[int]) -> int:
         raise NotAPermutation("order must be a permutation of the vertex set")
     pos = [-1] * n
     for i, v in enumerate(order):
-        if not 0 <= v < n or pos[v] >= 0:
+        if type(v) is not int or not 0 <= v < n or pos[v] >= 0:
             raise NotAPermutation("order must be a permutation of the vertex set")
         pos[v] = i
+    last = pos.__getitem__
+    adj = graph.adj
+    prefix: set[int] = set()
     basis: dict[int, set[int]] = {}  # pivot -> row
     best = 0
-    for i in range(n - 1):
-        v = order[i]
+    for v in order[:-1]:
+        prefix.add(v)
         if basis.pop(v, None) is None:
             for other in basis.values():
                 other.discard(v)
-        row = {w for w in graph.adj[v] if pos[w] > i}
+        row = adj[v] - prefix
+        if not row:
+            continue
+        if not basis:  # the rank goes from 0 to 1, with nothing to reduce
+            basis[max(row, key=last)] = set(row)
+            best = best or 1
+            continue
         for p, other in basis.items():
             if p in row:
+                if row == other:
+                    break  # their sum is zero: row is in the span
                 row ^= other
-        if row:
-            p = max(row, key=pos.__getitem__)
+        else:
+            row = set(row)
+            p = max(row, key=last)
             for other in basis.values():
                 if p in other:
                     other ^= row

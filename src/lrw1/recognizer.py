@@ -308,7 +308,8 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
     `tests/test_checker_differential.py` holds it against `bench/checker.py`,
     which shares no code with this package.
     A malformed certificate yields a failed result with a reason, never an
-    exception.
+    exception.  A vertex label is exactly an int: True and 4.0 equal
+    vertices 1 and 4, but name none.
     """
     if isinstance(certificate, OrderingCertificate):
         try:
@@ -319,10 +320,10 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
             return _fail(f"ordering has cut rank {width}")
         return _OK
     vs = certificate.vertices
+    if any(type(v) is not int or not 0 <= v < graph.n for v in vs):
+        return _fail("obstruction names a label that is not a vertex")
     if len(set(vs)) != len(vs):
         return _fail("obstruction lists a vertex twice")
-    if any(not 0 <= v < graph.n for v in vs):
-        return _fail("obstruction vertex out of range")
     sub = induced_subgraph(graph, vs)
     fam = certificate.family
     if fam in ("hole", "house", "gem", "domino"):
@@ -331,7 +332,7 @@ def verify_certificate(graph: Graph, certificate: Certificate) -> VerificationRe
             return _fail(f"{fam} certificate does not induce a {shape}")
     elif fam == "dh_star3":
         idx = certificate.catalog_index
-        if idx is None or not 0 <= idx < len(_CATALOG):
+        if type(idx) is not int or not 0 <= idx < len(_CATALOG):
             return _fail("missing or invalid catalog index")
         if sub.n != _CATALOG[idx].n or not is_isomorphic_small(sub, _CATALOG[idx]):
             return _fail("obstruction does not match its catalog entry")

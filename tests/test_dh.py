@@ -1,5 +1,6 @@
 """Distance-hereditary recognition, pruning sequences, minimal obstructions."""
 
+import json
 import random
 from types import SimpleNamespace
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import hung_c5
 
-from lrw1 import dh, oracle
+from lrw1 import cli, dh, oracle
+from lrw1 import graph as graph_module
 from lrw1.dh import (
     PruningStep,
     is_distance_hereditary,
@@ -19,7 +21,15 @@ from lrw1.dh import (
     replay_pruning,
 )
 from lrw1.errors import AlreadyDH, Disconnected, InvalidSequence
-from lrw1.graph import Graph, connected_components, induced_subgraph, is_isomorphic_small, reach, two_core
+from lrw1.graph import (
+    Graph,
+    connected_components,
+    induced_subgraph,
+    is_isomorphic_small,
+    reach,
+    serialize_graph,
+    two_core,
+)
 from lrw1.named import (
     caterpillar_graph,
     complete_graph,
@@ -282,6 +292,25 @@ def test_connectivity_is_checked_only_when_pruning_fails(monkeypatch):
     # the live vertices keep the graph's components, so only they are checked
     assert pruning_sequence(hung_c5(200, False)) is None
     assert calls == [7, 5]
+
+
+def test_recognizing_a_hole_walks_the_graph_once(monkeypatch, tmp_path, capsys):
+    # recognize finds the components, so the failed pruning reads them
+    # rather than walking its residue, the whole cycle, a second time
+    calls = []
+
+    def walk(adj, start, blocked):
+        found = reach(adj, start, blocked)
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(graph_module, "reach", walk)
+    monkeypatch.setattr(dh, "reach", walk)
+    path = tmp_path / "c2000.edges"
+    path.write_text(serialize_graph(cycle_graph(2000)))
+    assert cli.main(["recognize", "--json", "--verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["obstruction"]["family"] == "hole"
+    assert calls == [2000]
 
 
 # -- the boolean test ---------------------------------------------------------------

@@ -391,6 +391,65 @@ def test_verifier_rejects_non_minimal_set():
     assert not verify_certificate(g, cert)
 
 
+def test_verifier_refuses_labels_equal_to_vertices():
+    # True is 1 and 4.0 is 4 in Python, but neither is a vertex label
+    assert not verify_certificate(path_graph(2), OrderingCertificate((0, True)))
+    assert not verify_certificate(cycle_graph(5), ObstructionCertificate((0, 1, 2, 3, 4.0), "hole"))
+
+
+def test_verifier_refuses_catalog_indices_that_are_not_ints():
+    g = Graph(7, list(net_graph().edges) + [(3, 6)])
+    cert = recognize(g)
+    assert cert.family == "dh_star3" and verify_certificate(g, cert)
+    for index in [float(cert.catalog_index), str(cert.catalog_index), [cert.catalog_index]]:
+        out = verify_certificate(g, ObstructionCertificate(cert.vertices, cert.family, index))
+        assert not out and out.reason == "missing or invalid catalog index", index
+
+
+_BOUNDARY_GRAPHS = [
+    path_graph(2),
+    path_graph(4),
+    caterpillar_graph(3, [2, 0, 1]),
+    cycle_graph(5),
+    cycle_graph(7),
+    gem_graph(),
+    house_graph(),
+    domino_graph(),
+    Graph(7, list(net_graph().edges) + [(3, 6)]),  # a dh_star3 on 6 of its 7 vertices
+]
+
+
+def _labels(n):
+    """Vertex labels, and values that are not: out-of-range ints, bools, floats
+    (those equal to a vertex among them), strings and None."""
+    return st.one_of(
+        st.integers(0, n - 1),
+        st.integers(-3, -1) | st.integers(n, n + 3),
+        st.booleans(),
+        st.integers(0, n - 1).map(float),
+        st.floats(),
+        st.text(max_size=2),
+        st.none(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BOUNDARY_GRAPHS), st.data())
+def test_verifier_never_raises_and_fails_every_certificate_with_a_non_int_label(g, data):
+    cert = recognize(g)
+    ordered = isinstance(cert, OrderingCertificate)
+    labels = list(cert.order if ordered else cert.vertices)
+    for _ in range(data.draw(st.integers(1, 2))):
+        labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(_labels(g.n))
+    if ordered:
+        mutant = OrderingCertificate(tuple(labels))
+    else:
+        mutant = ObstructionCertificate(tuple(labels), cert.family, cert.catalog_index)
+    out = verify_certificate(g, mutant)
+    if any(type(v) is not int for v in labels):
+        assert not out and out.reason, mutant
+
+
 def test_recognizing_and_verifying_a_dh_star3_graph_leaves_no_cyclic_garbage():
     # the verifier's isomorphism search must not recurse through a closure,
     # which refers to itself and so leaves every search behind as a cycle
